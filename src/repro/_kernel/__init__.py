@@ -1,7 +1,7 @@
 """Compiled-kernel backend selection for the repro package.
 
-The hot kernels of the reproduction (event-heap drain, protocol message
-dispatch, ``compute_diff``, the threshold update rule) have a compiled C
+The hot kernels of the reproduction (event-heap drain, network send and
+batched delivery, the protocol fast paths) have a compiled C
 implementation in ``_kernelc.c``.  This module owns building, loading and
 selecting it:
 
@@ -169,9 +169,10 @@ def _load_from_path(path: Path) -> Any:
 # fast-path layer: LocalAccess, NetFabric, the C pending queues, the
 # Future/Arena hot-path twins, and the fused ThreadContext Accessor;
 # PR 9 added NetFabric.set_topology and cache_invalidate_read for the
-# scale tier); an installed in-place build predating them must lose to
-# a fresh first-use build rather than load and fail at attribute lookup.
-_MIN_KERNEL_API = 5
+# scale tier; API 6 removed the per-message dispatch, diff-scan and
+# threshold twins); an installed build at an older level must lose to a
+# fresh first-use build rather than load and fail at attribute lookup.
+_MIN_KERNEL_API = 6
 
 
 def _load_or_build() -> Any:

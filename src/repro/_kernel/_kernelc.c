@@ -1,24 +1,15 @@
 /* Compiled hot kernels for the repro package.
  *
- * Four kernels, chosen from profile data (see PROTOCOL.md §11):
- *
- *   Engine            -- the event-heap core of repro.sim.engine (push +
- *                        drain/dispatch).  repro.sim.engine.CompiledSimulator
- *                        subclasses it from Python and layers the process /
- *                        deadlock bookkeeping on top.
- *   Dispatcher        -- the per-message dispatch point of the DSM protocol
- *                        layer (category -> bound handler dict lookup).
- *   diff_arrays       -- the element-wise scan behind
- *                        repro.memory.diff.compute_diff.
- *   adaptive_threshold -- Equation 2 of the paper (repro.core.threshold).
+ * The event-heap core of repro.sim.engine (Engine: push + drain/dispatch;
+ * repro.sim.engine.CompiledSimulator subclasses it from Python and layers
+ * the process / deadlock bookkeeping on top), plus the protocol fast
+ * paths below: pending queues, write-notice merging, the local-hit
+ * access paths, the network send + batched delivery boundary, futures
+ * and the payload arena.  See PROTOCOL.md §11.
  *
  * Determinism contract: every kernel reproduces the pure-Python semantics
  * bit for bit.  The event heap orders by (time, seq) with seq unique, so
  * any conforming priority queue pops the identical sequence heapq does.
- * Float comparisons in diff_arrays use the C `!=` operator, which matches
- * numpy's element-wise `!=` (NaN != NaN is true, -0.0 != 0.0 is false).
- * The threshold update applies the same IEEE-754 operations in the same
- * order as the Python expression.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -34,7 +25,6 @@
 /* Set by _install(); the simulator raises this instead of RuntimeError. */
 static PyObject *SimError = NULL;
 
-static PyObject *str_category = NULL;
 static PyObject *str_payload = NULL;
 static PyObject *str_value = NULL;
 static PyObject *str_mode = NULL;
@@ -501,390 +491,6 @@ static PyTypeObject EngineType = {
     .tp_methods = Engine_methods,
     .tp_getset = Engine_getset,
 };
-
-/* ====================================================================== */
-/* Dispatcher: protocol message dispatch                                   */
-/* ====================================================================== */
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *dispatch; /* category -> bound handler dict (shared, owned ref) */
-} DispatcherObject;
-
-static int
-Dispatcher_init(DispatcherObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *dispatch;
-
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "Dispatcher() takes no keyword arguments");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!:Dispatcher", &PyDict_Type, &dispatch)) {
-        return -1;
-    }
-    Py_INCREF(dispatch);
-    Py_XSETREF(self->dispatch, dispatch);
-    return 0;
-}
-
-static PyObject *
-Dispatcher_call(DispatcherObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *msg, *category, *handler, *payload, *res;
-
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "Dispatcher takes no keyword arguments");
-        return NULL;
-    }
-    if (PyTuple_GET_SIZE(args) != 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "Dispatcher expects exactly one message");
-        return NULL;
-    }
-    msg = PyTuple_GET_ITEM(args, 0);
-    category = PyObject_GetAttr(msg, str_category);
-    if (category == NULL) {
-        return NULL;
-    }
-    handler = PyDict_GetItemWithError(self->dispatch, category);
-    Py_DECREF(category);
-    if (handler == NULL) {
-        if (PyErr_Occurred()) {
-            return NULL;
-        }
-        PyErr_Format(PyExc_RuntimeError, "unhandled message %R", msg);
-        return NULL;
-    }
-    Py_INCREF(handler);
-    payload = PyObject_GetAttr(msg, str_payload);
-    if (payload == NULL) {
-        Py_DECREF(handler);
-        return NULL;
-    }
-    res = PyObject_CallOneArg(handler, payload);
-    Py_DECREF(handler);
-    Py_DECREF(payload);
-    if (res == NULL) {
-        return NULL;
-    }
-    Py_DECREF(res);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Dispatcher_get_dispatch(DispatcherObject *self, void *closure)
-{
-    if (self->dispatch == NULL) {
-        Py_RETURN_NONE;
-    }
-    Py_INCREF(self->dispatch);
-    return self->dispatch;
-}
-
-static int
-Dispatcher_traverse(DispatcherObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->dispatch);
-    return 0;
-}
-
-static int
-Dispatcher_clear_gc(DispatcherObject *self)
-{
-    Py_CLEAR(self->dispatch);
-    return 0;
-}
-
-static void
-Dispatcher_dealloc(DispatcherObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Py_CLEAR(self->dispatch);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyGetSetDef Dispatcher_getset[] = {
-    {"dispatch", (getter)Dispatcher_get_dispatch, NULL,
-     "The category -> handler dict this dispatcher reads (shared with the "
-     "engine, so mutations are visible immediately).", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PyTypeObject DispatcherType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._kernel._kernelc.Dispatcher",
-    .tp_doc = "Compiled per-message dispatch point: looks the message "
-              "category up in a shared handler dict and invokes the bound "
-              "handler with the payload.",
-    .tp_basicsize = sizeof(DispatcherObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Dispatcher_init,
-    .tp_call = (ternaryfunc)Dispatcher_call,
-    .tp_dealloc = (destructor)Dispatcher_dealloc,
-    .tp_traverse = (traverseproc)Dispatcher_traverse,
-    .tp_clear = (inquiry)Dispatcher_clear_gc,
-    .tp_getset = Dispatcher_getset,
-};
-
-/* ====================================================================== */
-/* diff_arrays: the compute_diff scan                                      */
-/* ====================================================================== */
-
-/* Count pass + fill pass per element width.  Integer (and bool) dtypes
- * compare bitwise; float dtypes use the C != operator so NaN/-0.0
- * semantics match numpy's element-wise comparison exactly. */
-#define DIFF_COUNT(CTYPE)                                                  \
-    do {                                                                   \
-        const CTYPE *ca = (const CTYPE *)a;                                \
-        const CTYPE *cb = (const CTYPE *)b;                                \
-        for (npy_intp i = 0; i < n; i++) {                                 \
-            if (ca[i] != cb[i]) {                                          \
-                nchanged++;                                                \
-            }                                                              \
-        }                                                                  \
-    } while (0)
-
-#define DIFF_FILL(CTYPE)                                                   \
-    do {                                                                   \
-        const CTYPE *ca = (const CTYPE *)a;                                \
-        const CTYPE *cb = (const CTYPE *)b;                                \
-        CTYPE *cv = (CTYPE *)values_data;                                  \
-        npy_intp k = 0;                                                    \
-        for (npy_intp i = 0; i < n; i++) {                                 \
-            if (ca[i] != cb[i]) {                                          \
-                if (k == 0 || indices_data[k - 1] + 1 != i) {              \
-                    nruns++;                                               \
-                }                                                          \
-                indices_data[k] = i;                                       \
-                cv[k] = ca[i];                                             \
-                k++;                                                       \
-            }                                                              \
-        }                                                                  \
-    } while (0)
-
-enum diff_mode {
-    DIFF_UNSUPPORTED = 0,
-    DIFF_I8,
-    DIFF_I16,
-    DIFF_I32,
-    DIFF_I64,
-    DIFF_F32,
-    DIFF_F64,
-};
-
-static enum diff_mode
-diff_mode_for(int typenum, int itemsize)
-{
-    if (PyTypeNum_ISBOOL(typenum) || PyTypeNum_ISINTEGER(typenum)) {
-        switch (itemsize) {
-        case 1:
-            return DIFF_I8;
-        case 2:
-            return DIFF_I16;
-        case 4:
-            return DIFF_I32;
-        case 8:
-            return DIFF_I64;
-        default:
-            return DIFF_UNSUPPORTED;
-        }
-    }
-    if (typenum == NPY_FLOAT32) {
-        return DIFF_F32;
-    }
-    if (typenum == NPY_FLOAT64) {
-        return DIFF_F64;
-    }
-    return DIFF_UNSUPPORTED;
-}
-
-static PyObject *
-diff_arrays(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyArrayObject *cur, *twin;
-    const char *a, *b;
-    npy_intp n, nchanged = 0, nruns = 0;
-    npy_intp *indices_data;
-    char *values_data;
-    int typenum, itemsize;
-    enum diff_mode mode;
-    PyObject *indices = NULL, *values = NULL, *result;
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "diff_arrays() requires (current, twin)");
-        return NULL;
-    }
-    if (!PyArray_Check(args[0]) || !PyArray_Check(args[1])) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    cur = (PyArrayObject *)args[0];
-    twin = (PyArrayObject *)args[1];
-    if (PyArray_NDIM(cur) != 1 || PyArray_NDIM(twin) != 1) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    typenum = PyArray_TYPE(cur);
-    if (PyArray_TYPE(twin) != typenum) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    n = PyArray_DIM(cur, 0);
-    if (PyArray_DIM(twin, 0) != n) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    if (!PyArray_ISCARRAY_RO(cur) || !PyArray_ISCARRAY_RO(twin) ||
-        !PyArray_ISNOTSWAPPED(cur) || !PyArray_ISNOTSWAPPED(twin)) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    itemsize = (int)PyArray_ITEMSIZE(cur);
-    mode = diff_mode_for(typenum, itemsize);
-    if (mode == DIFF_UNSUPPORTED) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    a = PyArray_BYTES(cur);
-    b = PyArray_BYTES(twin);
-
-    switch (mode) {
-    case DIFF_I8:
-        DIFF_COUNT(npy_uint8);
-        break;
-    case DIFF_I16:
-        DIFF_COUNT(npy_uint16);
-        break;
-    case DIFF_I32:
-        DIFF_COUNT(npy_uint32);
-        break;
-    case DIFF_I64:
-        DIFF_COUNT(npy_uint64);
-        break;
-    case DIFF_F32:
-        DIFF_COUNT(npy_float);
-        break;
-    case DIFF_F64:
-        DIFF_COUNT(npy_double);
-        break;
-    default:
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-
-    if (nchanged == 0) {
-        Py_RETURN_NONE;
-    }
-
-    indices = PyArray_SimpleNew(1, &nchanged, NPY_INTP);
-    if (indices == NULL) {
-        return NULL;
-    }
-    values = PyArray_SimpleNew(1, &nchanged, typenum);
-    if (values == NULL) {
-        Py_DECREF(indices);
-        return NULL;
-    }
-    indices_data = (npy_intp *)PyArray_BYTES((PyArrayObject *)indices);
-    values_data = PyArray_BYTES((PyArrayObject *)values);
-
-    switch (mode) {
-    case DIFF_I8:
-        DIFF_FILL(npy_uint8);
-        break;
-    case DIFF_I16:
-        DIFF_FILL(npy_uint16);
-        break;
-    case DIFF_I32:
-        DIFF_FILL(npy_uint32);
-        break;
-    case DIFF_I64:
-        DIFF_FILL(npy_uint64);
-        break;
-    case DIFF_F32:
-        DIFF_FILL(npy_float);
-        break;
-    case DIFF_F64:
-        DIFF_FILL(npy_double);
-        break;
-    default:
-        break;
-    }
-
-    result = Py_BuildValue("(NNn)", indices, values, (Py_ssize_t)nruns);
-    return result;
-}
-
-/* ====================================================================== */
-/* adaptive_threshold: Equation 2                                          */
-/* ====================================================================== */
-
-static PyObject *
-kernel_adaptive_threshold(PyObject *mod, PyObject *const *args,
-                          Py_ssize_t nargs)
-{
-    double base, redirections, exclusive, alpha, lam, t_init, result;
-
-    if (nargs != 6) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "adaptive_threshold() requires (base, redirections, "
-            "exclusive_home_writes, alpha, lam, t_init)");
-        return NULL;
-    }
-    base = PyFloat_AsDouble(args[0]);
-    if (base == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    redirections = PyFloat_AsDouble(args[1]);
-    if (redirections == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    exclusive = PyFloat_AsDouble(args[2]);
-    if (exclusive == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    alpha = PyFloat_AsDouble(args[3]);
-    if (alpha == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    lam = PyFloat_AsDouble(args[4]);
-    if (lam == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    t_init = PyFloat_AsDouble(args[5]);
-    if (t_init == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-
-    if (base < t_init) {
-        PyErr_Format(PyExc_ValueError, "threshold base %S below floor %S",
-                     args[0], args[5]);
-        return NULL;
-    }
-    if (redirections < 0.0 || exclusive < 0.0) {
-        PyErr_Format(PyExc_ValueError,
-                     "feedback counters must be non-negative, got R=%S, E=%S",
-                     args[1], args[2]);
-        return NULL;
-    }
-    if (alpha <= 0.0) {
-        PyErr_Format(PyExc_ValueError, "alpha must be positive, got %S",
-                     args[3]);
-        return NULL;
-    }
-    if (lam < 0.0) {
-        PyErr_Format(PyExc_ValueError, "lambda must be non-negative, got %S",
-                     args[4]);
-        return NULL;
-    }
-
-    /* Same IEEE-754 operation order as the Python expression:
-     * base + lam * (R - alpha * E), floored at t_init. */
-    result = base + lam * (redirections - alpha * exclusive);
-    if (result < t_init) {
-        result = t_init;
-    }
-    return PyFloat_FromDouble(result);
-}
 
 /* ====================================================================== */
 /* Protocol fast paths (PR 8)                                              */
@@ -4157,17 +3763,6 @@ static PyMethodDef kernel_methods[] = {
     {"_install", kernel_install, METH_O,
      "_install(exc_type)\n--\n\n"
      "Register the SimulationError class the Engine raises."},
-    {"diff_arrays", (PyCFunction)(void (*)(void))diff_arrays, METH_FASTCALL,
-     "diff_arrays(current, twin)\n--\n\n"
-     "Single-scan diff of two matching 1-D arrays.  Returns None when "
-     "equal, (indices, values, nruns) when changed, or NotImplemented "
-     "for layouts/dtypes the kernel does not handle."},
-    {"adaptive_threshold",
-     (PyCFunction)(void (*)(void))kernel_adaptive_threshold, METH_FASTCALL,
-     "adaptive_threshold(base, redirections, exclusive_home_writes, alpha, "
-     "lam, t_init)\n--\n\n"
-     "Equation 2: max(base + lam * (R - alpha * E), t_init), with the "
-     "pure-Python function's validation."},
     {"merge_notices", (PyCFunction)(void (*)(void))kernel_merge_notices,
      METH_FASTCALL,
      "merge_notices(accumulated, incoming)\n--\n\n"
@@ -4200,8 +3795,8 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernel._kernelc",
-    .m_doc = "Compiled hot kernels: event-heap engine, message dispatcher, "
-             "diff scan, threshold update.",
+    .m_doc = "Compiled hot kernels: event-heap engine, network fabric and "
+             "protocol fast paths.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -4213,10 +3808,6 @@ PyInit__kernelc(void)
 
     import_array();
 
-    str_category = PyUnicode_InternFromString("category");
-    if (str_category == NULL) {
-        return NULL;
-    }
     str_payload = PyUnicode_InternFromString("payload");
     if (str_payload == NULL) {
         return NULL;
@@ -4271,7 +3862,7 @@ PyInit__kernelc(void)
         return NULL;
     }
 
-    if (PyType_Ready(&EngineType) < 0 || PyType_Ready(&DispatcherType) < 0 ||
+    if (PyType_Ready(&EngineType) < 0 ||
         PyType_Ready(&VqType) < 0 || PyType_Ready(&KfType) < 0 ||
         PyType_Ready(&LocalAccessType) < 0 || PyType_Ready(&PortType) < 0 ||
         PyType_Ready(&FabricType) < 0 || PyType_Ready(&SenderType) < 0 ||
@@ -4286,8 +3877,6 @@ PyInit__kernelc(void)
         return NULL;
     }
     if (PyModule_AddObjectRef(mod, "Engine", (PyObject *)&EngineType) < 0 ||
-        PyModule_AddObjectRef(mod, "Dispatcher",
-                              (PyObject *)&DispatcherType) < 0 ||
         PyModule_AddObjectRef(mod, "VersionIndexedQueue",
                               (PyObject *)&VqType) < 0 ||
         PyModule_AddObjectRef(mod, "KeyedFifo", (PyObject *)&KfType) < 0 ||
@@ -4306,7 +3895,7 @@ PyInit__kernelc(void)
         PyModule_AddObjectRef(mod, "Arena", (PyObject *)&ArenaType) < 0 ||
         PyModule_AddObjectRef(mod, "Accessor",
                               (PyObject *)&AccessorType) < 0 ||
-        PyModule_AddIntConstant(mod, "KERNEL_API", 5) < 0) {
+        PyModule_AddIntConstant(mod, "KERNEL_API", 6) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

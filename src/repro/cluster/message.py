@@ -14,9 +14,6 @@ accounting.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
 
 #: Fixed per-message header (source, destination, category, object id,
 #: version stamp) — also the size of the paper's "unit-sized message".
@@ -31,8 +28,8 @@ class MsgCategory(enum.Enum):
 
     # Identity hash instead of Enum's Python-level ``hash(self._name_)``:
     # members are singletons compared by identity, so hashing by id is
-    # consistent — and it turns the per-message stats-counter updates
-    # (four hashes per send) into C-speed slot calls.
+    # consistent — and it turns the per-message stats-counter and
+    # dispatch lookups into C-speed slot calls.
     __hash__ = object.__hash__
 
     OBJ_REQUEST = "obj_request"  # fault-in request to a (presumed) home
@@ -67,40 +64,3 @@ SYNC_CATEGORIES = frozenset(
         MsgCategory.BARRIER_RELEASE,
     }
 )
-
-
-# C-level sequence source: one slot call per message instead of a Python
-# frame with a global load/store (tens of thousands of messages per run).
-_next_seq = itertools.count(1).__next__
-
-
-@dataclass(slots=True)
-class Message:
-    """One message in flight.
-
-    ``size_bytes`` is the total wire size including the header.  ``payload``
-    is an arbitrary protocol-defined object (never serialized; the simulator
-    charges only ``size_bytes``).
-    """
-
-    src: int
-    dst: int
-    category: MsgCategory
-    size_bytes: int
-    payload: Any = None
-    seq: int = field(default_factory=_next_seq)
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < HEADER_BYTES:
-            raise ValueError(
-                f"message size {self.size_bytes} smaller than header "
-                f"({HEADER_BYTES} bytes)"
-            )
-        if self.src < 0 or self.dst < 0:
-            raise ValueError(f"invalid endpoints {self.src}->{self.dst}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Msg#{self.seq} {self.category.value} {self.src}->{self.dst} "
-            f"{self.size_bytes}B>"
-        )

@@ -7,8 +7,8 @@ Timing model for a message of ``m`` bytes from ``src`` to ``dst``:
   a single full-duplex link into the switch;
 * the wire+stack latency adds the start-up term, so arrival is
   ``injection_end + t0``;
-* the receiving :class:`~repro.cluster.node.Node` charges its service
-  overhead before the protocol handler runs.
+* the receiving node's delivery port charges its service overhead
+  before the protocol handler runs.
 
 End-to-end latency of an isolated message is therefore exactly the Hockney
 ``t(m) = t0 + m/r_inf`` (plus receiver service time), while bursts of
@@ -17,6 +17,12 @@ message-count/traffic/ordering behaviour the protocol depends on.
 
 Local messages (``src == dst``) are not allowed: the DSM layer handles
 node-local operations without the network, as the real system does.
+
+There is one delivery path.  Every node's protocol engine registers a
+category -> handler dict (:meth:`Network.register_fast_dispatch`); once
+all have, sends run through the compiled ``NetFabric`` when the
+simulator is the compiled engine, else through the pure-Python
+:meth:`Network._py_send` and :class:`_PyDeliveryPort` reference.
 """
 
 from __future__ import annotations
@@ -25,13 +31,16 @@ from functools import partial
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.cluster.hockney import HockneyModel
-from repro.cluster.message import HEADER_BYTES, Message, MsgCategory
-from repro.cluster.node import Node
+from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.stats import ClusterStats
 from repro.cluster.topology import ClusterTopology, make_topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
+
+#: Fixed CPU overhead charged at the receiver per handled message
+#: (interrupt + protocol dispatch), in microseconds.
+DEFAULT_SERVICE_US = 5.0
 
 
 class _PyDeliveryPort:
@@ -42,8 +51,8 @@ class _PyDeliveryPort:
     counter still equals the watermark recorded right after the batch's
     flush event was scheduled.  Any interleaved event — another port's
     flush, a handler-scheduled callback — advances the counter and
-    breaks coalescing, so the degenerate case is exactly the legacy
-    one-event-per-message delivery order.
+    breaks coalescing, so handlers run in exactly the order one flush
+    event per message would give.
     """
 
     __slots__ = ("_sim", "_dispatch", "_service", "_batch", "_batch_time",
@@ -85,7 +94,7 @@ class _PyDeliveryPort:
 
 
 class Network:
-    """The cluster interconnect: owns the nodes and delivers messages."""
+    """The cluster interconnect: routes messages between node engines."""
 
     def __init__(
         self,
@@ -99,41 +108,38 @@ class Network:
     ):
         if nnodes < 1:
             raise ValueError(f"need at least one node, got {nnodes}")
+        if service_us is None:
+            service_us = DEFAULT_SERVICE_US
+        if service_us < 0:
+            raise ValueError(f"service_us must be non-negative, got {service_us}")
         self.sim = sim
         self.comm_model = comm_model
         self.stats = stats if stats is not None else ClusterStats()
-        node_kwargs = {} if service_us is None else {"service_us": service_us}
-        self.nodes = [Node(i, sim, **node_kwargs) for i in range(nnodes)]
+        self.nnodes = nnodes
+        #: Receiver CPU time charged per delivered message (every node).
+        self.service_us = service_us
         self._nic_free = [0.0] * nnodes
-        #: Pre-bound per-node delivery table: ``send`` schedules
-        #: ``_deliver[dst]`` with the message as an event-tuple argument,
-        #: so the hot path allocates no closure and does no list+attribute
-        #: re-resolution per message.
-        self._deliver = [node.deliver for node in self.nodes]
         # Hot-path pre-binds: one attribute resolution at construction
-        # instead of three per message.
+        # instead of several per message.
         self._transfer_us = comm_model.transfer_us
         self._startup_us = comm_model.startup_us
         self._sim_at = sim.at
-        self._record = self.stats.record_message
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set,
-        #: per-category message/byte counters accrue on every send.
+        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; the run's
+        #: per-category totals land in it via :meth:`publish_metrics`.
         self.metrics = metrics
-        #: Fast-path state (PR 8): once every node's protocol engine has
-        #: registered its dispatch dict, sends route through a single
-        #: Message-free path with batched delivery, in C when the
-        #: simulator is the compiled Engine.  ``None`` until activated.
-        self._fast_send: Callable | None = None
-        self._fast_dispatch: dict[int, dict] = {}
-        self._fast_bind: dict[int, Callable] = {}
-        self._fast_ports: list[_PyDeliveryPort] | None = None
+        #: Delivery state: ``None`` until every node has registered its
+        #: dispatch dict, then the compiled fabric's or the Python send.
+        self._send: Callable | None = None
+        self._dispatch: dict[int, dict] = {}
+        self._bind: dict[int, Callable] = {}
+        self._ports: list[_PyDeliveryPort] | None = None
         self._fabric = None
         #: Optional interconnect topology (PROTOCOL.md §15).  ``None``
         #: keeps the seed's ideal single switch bit for bit; a topology
         #: adds per-pair hop latency, an oversubscription transfer
         #: penalty and (optionally) serialized uplink contention on top
-        #: of the Hockney NIC model — identical math on all three send
-        #: paths (legacy, Python fast, compiled fabric).
+        #: of the Hockney NIC model — identical math in the Python send
+        #: and the compiled fabric.
         self.topology = make_topology(topology, nnodes)
         if self.topology is not None:
             self._topo_pair = self.topology.pair
@@ -143,45 +149,32 @@ class Network:
         else:
             self._topo_pair = None
 
-    @property
-    def nnodes(self) -> int:
-        return len(self.nodes)
-
     def register_fast_dispatch(
         self, node_id: int, dispatch: dict, bind_sender: Callable
     ) -> None:
-        """Opt one node into fast delivery.
+        """Register one node's engine for delivery.
 
-        ``dispatch`` is the engine's shared category -> handler dict (the
-        same object its kernel Dispatcher reads, so later handler swaps
-        stay visible); ``bind_sender`` is called with a per-node send
-        callable once *every* node has registered.  Activation is
-        all-or-nothing: a cluster with any non-registering endpoint
-        (e.g. the homeless engines) keeps the legacy per-message path,
-        so NIC state never splits across two send paths.
+        ``dispatch`` is the engine's category -> handler dict (read live,
+        so later handler swaps stay visible); ``bind_sender`` is called
+        with a per-node ``(dst, category, size_bytes, payload)`` send
+        callable once *every* node has registered.  No message can be
+        sent before then.
         """
         if not 0 <= node_id < self.nnodes:
             raise ValueError(f"node {node_id} outside cluster")
-        self._fast_dispatch[node_id] = dispatch
-        self._fast_bind[node_id] = bind_sender
-        if len(self._fast_dispatch) == self.nnodes:
-            self._activate_fast_delivery()
+        if node_id in self._dispatch:
+            raise RuntimeError(f"node {node_id} already registered")
+        self._dispatch[node_id] = dispatch
+        self._bind[node_id] = bind_sender
+        if len(self._dispatch) == self.nnodes:
+            self._activate()
 
-    def _activate_fast_delivery(self) -> None:
+    def _activate(self) -> None:
         from repro import _kernel
 
         kernel_module = _kernel.kernel()
         sim = self.sim
-        # With a metrics registry attached every send must also feed the
-        # observability counters, which the C fabric cannot do — use the
-        # Python fast path there.  Event structure (and so every
-        # deterministic field) is identical either way; only the send
-        # body's speed differs.
-        if (
-            self.metrics is None
-            and kernel_module is not None
-            and isinstance(sim, kernel_module.Engine)
-        ):
+        if kernel_module is not None and isinstance(sim, kernel_module.Engine):
             fabric = kernel_module.NetFabric(
                 sim,
                 self.stats.msg_count,
@@ -193,7 +186,7 @@ class Network:
             )
             if self.topology is not None:
                 # Per-pair cost tables precomputed from the same pair()
-                # the Python paths call — the kernel branch reads the
+                # the Python path calls — the kernel branch reads the
                 # identical float64 values.
                 hop, pen, link = self.topology.tables()
                 fabric.set_topology(
@@ -204,23 +197,21 @@ class Network:
                     1 if self.topology.contention else 0,
                 )
             for i in range(self.nnodes):
-                fabric.add_port(self._fast_dispatch[i], self.nodes[i].service_us)
+                fabric.add_port(self._dispatch[i], self.service_us)
             senders = [fabric.sender(i) for i in range(self.nnodes)]
             self._fabric = fabric
-            self._fast_send = fabric.send
+            self._send = fabric.send
         else:
-            self._fast_ports = [
-                _PyDeliveryPort(sim, self._fast_dispatch[i], self.nodes[i].service_us)
+            self._ports = [
+                _PyDeliveryPort(sim, self._dispatch[i], self.service_us)
                 for i in range(self.nnodes)
             ]
-            senders = [
-                partial(self._py_fast_send, i) for i in range(self.nnodes)
-            ]
-            self._fast_send = self._py_fast_send
+            senders = [partial(self._py_send, i) for i in range(self.nnodes)]
+            self._send = self._py_send
         for i in range(self.nnodes):
-            self._fast_bind[i](senders[i])
+            self._bind[i](senders[i])
 
-    def _py_fast_send(
+    def _py_send(
         self,
         src: int,
         dst: int,
@@ -228,14 +219,13 @@ class Network:
         size_bytes: int,
         payload: Any = None,
     ) -> None:
-        """Pure-Python twin of the kernel ``NetFabric.send`` body: the
-        legacy :meth:`send` semantics without the Message allocation."""
+        """Pure-Python twin of the kernel ``NetFabric.send`` body."""
         if src == dst:
             raise ValueError(
                 f"local message {category.value} on node {src}; node-local "
                 "operations must bypass the network"
             )
-        nnodes = len(self.nodes)
+        nnodes = self.nnodes
         if not (0 <= src < nnodes and 0 <= dst < nnodes):
             raise ValueError(f"endpoints {src}->{dst} outside cluster")
         total = size_bytes + HEADER_BYTES
@@ -247,10 +237,6 @@ class Network:
         stats = self.stats
         stats.msg_count[category] += 1
         stats.msg_bytes[category] += total
-        if self.metrics is not None:
-            label = category.value
-            self.metrics.counter("net_messages_total", category=label).inc()
-            self.metrics.counter("net_bytes_total", category=label).inc(total)
 
         now = self.sim._now
         nic_free = self._nic_free[src]
@@ -263,7 +249,7 @@ class Network:
             arrival = self._topo_arrival(src, dst, total, injection_end)
         self._sim_at(
             arrival,
-            self._fast_ports[dst].arrive,
+            self._ports[dst].arrive,
             category,
             payload,
         )
@@ -295,51 +281,21 @@ class Network:
         category: MsgCategory,
         size_bytes: int,
         payload: Any = None,
-    ) -> Message | None:
-        """Inject a message; schedules its delivery and returns it.
+    ) -> None:
+        """Inject a message from ``src``; schedules its delivery.
 
-        ``size_bytes`` is the payload size; the fixed header is added here.
-        On the activated fast path no :class:`Message` is materialized
-        and ``None`` is returned (no protocol caller reads the value).
+        ``size_bytes`` is the payload size; the fixed header is added
+        here.  Engines normally call the per-node sender bound at
+        registration; this entry point serves callers that send on a
+        node's behalf (e.g. the homeless GC's accounting traffic).
         """
-        if self._fast_send is not None:
-            self._fast_send(src, dst, category, size_bytes, payload)
-            return None
-        if src == dst:
-            raise ValueError(
-                f"local message {category.value} on node {src}; node-local "
-                "operations must bypass the network"
+        send = self._send
+        if send is None:
+            raise RuntimeError(
+                f"network send before every node registered its dispatch "
+                f"({len(self._dispatch)} of {self.nnodes} registered)"
             )
-        if not (0 <= src < self.nnodes and 0 <= dst < self.nnodes):
-            raise ValueError(f"endpoints {src}->{dst} outside cluster")
-        message = Message(
-            src=src,
-            dst=dst,
-            category=category,
-            size_bytes=size_bytes + HEADER_BYTES,
-            payload=payload,
-        )
-        self._record(message)
-        if self.metrics is not None:
-            label = category.value
-            self.metrics.counter("net_messages_total", category=label).inc()
-            self.metrics.counter("net_bytes_total", category=label).inc(
-                message.size_bytes
-            )
-
-        now = self.sim._now  # direct read; the property is hot-path overhead
-        nic_free = self._nic_free[src]
-        injection_start = now if now >= nic_free else nic_free
-        injection_end = injection_start + self._transfer_us(message.size_bytes)
-        self._nic_free[src] = injection_end
-        if self._topo_pair is None:
-            arrival = injection_end + self._startup_us
-        else:
-            arrival = self._topo_arrival(
-                src, dst, message.size_bytes, injection_end
-            )
-        self._sim_at(arrival, self._deliver[dst], message)
-        return message
+        send(src, dst, category, size_bytes, payload)
 
     def broadcast(
         self,
@@ -347,13 +303,30 @@ class Network:
         category: MsgCategory,
         size_bytes: int,
         payload: Any = None,
-    ) -> list[Message]:
+    ) -> None:
         """Send one copy to every other node (switch has no multicast here)."""
-        return [
-            self.send(src, dst, category, size_bytes, payload)
-            for dst in range(self.nnodes)
-            if dst != src
-        ]
+        for dst in range(self.nnodes):
+            if dst != src:
+                self.send(src, dst, category, size_bytes, payload)
+
+    def publish_metrics(self) -> None:
+        """Add this run's per-category traffic to the attached registry.
+
+        Called once, at run end: ``net_messages_total`` and
+        ``net_bytes_total`` (labelled by category) receive the
+        :class:`ClusterStats` totals both send paths fill, so attaching
+        a registry never changes which send path runs.
+        """
+        metrics = self.metrics
+        if metrics is None:
+            return
+        msg_bytes = self.stats.msg_bytes
+        for category, count in self.stats.msg_count.items():
+            label = category.value
+            metrics.counter("net_messages_total", category=label).inc(count)
+            metrics.counter("net_bytes_total", category=label).inc(
+                msg_bytes[category]
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network {self.nnodes} nodes, {self.comm_model.name}>"

@@ -37,6 +37,7 @@ behaviour bit for bit.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -48,6 +49,13 @@ __all__ = [
     "FatTreeTopology",
     "make_topology",
 ]
+
+
+def _check_finite_at_least(name: str, value: float, floor: float) -> None:
+    """Reject NaN, infinities and values below ``floor`` (NaN would pass
+    a bare ``value < floor`` test)."""
+    if not (math.isfinite(value) and value >= floor):
+        raise ValueError(f"{name} must be finite and >= {floor:g}, got {value}")
 
 
 class ClusterTopology:
@@ -142,12 +150,8 @@ class HierarchicalTopology(ClusterTopology):
         super().__init__(nnodes, contention)
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        if hop_us < 0:
-            raise ValueError(f"hop_us must be >= 0, got {hop_us}")
-        if oversubscription < 1.0:
-            raise ValueError(
-                f"oversubscription must be >= 1, got {oversubscription}"
-            )
+        _check_finite_at_least("hop_us", hop_us, 0.0)
+        _check_finite_at_least("oversubscription", oversubscription, 1.0)
         self.leaf_size = leaf_size
         self.hop_us = float(hop_us)
         self.oversubscription = float(oversubscription)
@@ -208,13 +212,11 @@ class FatTreeTopology(ClusterTopology):
             raise ValueError(f"edge_size must be >= 1, got {edge_size}")
         if pod_size < 1:
             raise ValueError(f"pod_size must be >= 1, got {pod_size}")
-        if hop_us < 0:
-            raise ValueError(f"hop_us must be >= 0, got {hop_us}")
-        if oversubscription < 1.0 or core_oversubscription < 1.0:
-            raise ValueError(
-                "oversubscription ratios must be >= 1, got "
-                f"{oversubscription} / {core_oversubscription}"
-            )
+        _check_finite_at_least("hop_us", hop_us, 0.0)
+        _check_finite_at_least("oversubscription", oversubscription, 1.0)
+        _check_finite_at_least(
+            "core_oversubscription", core_oversubscription, 1.0
+        )
         self.edge_size = edge_size
         self.pod_size = pod_size
         self.hop_us = float(hop_us)
@@ -323,5 +325,14 @@ def make_topology(
                     f"unknown topology parameter {key!r}; "
                     f"choose from {sorted(_PARAM_KEYS)}"
                 ) from None
-            kwargs[kwarg] = convert(value)
+            if kwarg in kwargs:
+                raise ValueError(
+                    f"topology parameter {key!r} given twice in {spec!r}"
+                )
+            try:
+                kwargs[kwarg] = convert(value)
+            except ValueError:
+                raise ValueError(
+                    f"topology parameter {key!r} has invalid value {value!r}"
+                ) from None
     return cls(nnodes, **kwargs)

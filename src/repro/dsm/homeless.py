@@ -130,6 +130,11 @@ class _GcTraffic:
     phase: str  # "contribute" or "rebase"
 
 
+def _ignore_gc_traffic(_msg: _GcTraffic) -> None:
+    """Receive GC accounting traffic: the state change already happened
+    at the barrier safe point."""
+
+
 class HomelessEngine:
     """TreadMarks-style LRC protocol instance on one node.
 
@@ -175,9 +180,20 @@ class HomelessEngine:
         self._lock_waiters: dict[tuple[int, tuple[int, int]], Future] = {}
         self._barrier_waiters: dict[tuple[int, int], list[Future]] = {}
         self._req_counter = 0
-        network.nodes[node_id].install_handler(self.on_message)
+        network.register_fast_dispatch(
+            node_id, self._build_dispatch(), self._bind_sender
+        )
 
     # -- helpers -----------------------------------------------------------
+
+    def _send(
+        self, dst: int, category: MsgCategory, size_bytes: int, payload: Any
+    ) -> None:
+        self.network.send(self.node_id, dst, category, size_bytes, payload)
+
+    def _bind_sender(self, sender: Any) -> None:
+        """Install the network's per-node send callable as ``_send``."""
+        self._send = sender
 
     def _next_request_id(self) -> tuple[int, int]:
         self._req_counter += 1
@@ -275,8 +291,7 @@ class HomelessEngine:
             request_id = self._next_request_id()
             fut = self._Future(label="diffreq")
             self._reply_waiters[request_id] = fut
-            self.network.send(
-                self.node_id,
+            self._send(
                 writer,
                 MsgCategory.OBJ_REQUEST,
                 REQUEST_BYTES,
@@ -385,8 +400,7 @@ class HomelessEngine:
         else:
             fut = self._Future(label="hl-lock")
             self._lock_waiters[(handle.lock_id, request_id)] = fut
-            self.network.send(
-                self.node_id,
+            self._send(
                 handle.home,
                 MsgCategory.LOCK_ACQUIRE,
                 self._notice_size(own),
@@ -405,8 +419,7 @@ class HomelessEngine:
         if handle.home == self.node_id:
             self._manager_release(handle.lock_id, self.node_id, notices)
         else:
-            self.network.send(
-                self.node_id,
+            self._send(
                 handle.home,
                 MsgCategory.LOCK_RELEASE,
                 self._notice_size(notices),
@@ -427,8 +440,7 @@ class HomelessEngine:
         if waiter.node == self.node_id:
             self._lock_waiters.pop((lock_id, waiter.request_id)).resolve(grant)
         else:
-            self.network.send(
-                self.node_id,
+            self._send(
                 waiter.node,
                 MsgCategory.LOCK_GRANT,
                 self._notice_size(grant),
@@ -461,8 +473,7 @@ class HomelessEngine:
         if handle.home == self.node_id:
             self._manager_barrier_arrive(arrive)
         else:
-            self.network.send(
-                self.node_id,
+            self._send(
                 handle.home,
                 MsgCategory.BARRIER_ARRIVE,
                 self._notice_size(notices),
@@ -485,10 +496,7 @@ class HomelessEngine:
             size = self._notice_size(merged)
             for dst in range(self.network.nnodes):
                 if dst != self.node_id:
-                    self.network.send(
-                        self.node_id, dst, MsgCategory.BARRIER_RELEASE,
-                        size, release,
-                    )
+                    self._send(dst, MsgCategory.BARRIER_RELEASE, size, release)
             self._deliver_barrier_release(release)
 
     def _deliver_barrier_release(self, release: _BarrierRelease) -> None:
@@ -499,48 +507,42 @@ class HomelessEngine:
 
     # -- message handling -------------------------------------------------------
 
-    def on_message(self, message) -> None:
-        payload = message.payload
-        category = message.category
-        if category is MsgCategory.OBJ_REQUEST:
-            self._handle_diff_request(payload)
-        elif category is MsgCategory.OBJ_REPLY:
-            self._reply_waiters.pop(payload.request_id).resolve(payload)
-        elif category is MsgCategory.LOCK_ACQUIRE:
-            self.lock_table.add_notices(payload.lock_id, payload.notices)
-            if self.lock_table.try_acquire(
-                payload.lock_id, payload.requester, payload.request_id
-            ):
-                grant = self.lock_table.grant_notices(
-                    payload.lock_id, payload.requester
-                )
-                self.network.send(
-                    self.node_id,
-                    payload.requester,
-                    MsgCategory.LOCK_GRANT,
-                    self._notice_size(grant),
-                    _LockGrant(
-                        lock_id=payload.lock_id,
-                        request_id=payload.request_id,
-                        notices=grant,
-                    ),
-                )
-        elif category is MsgCategory.LOCK_GRANT:
-            self._lock_waiters.pop(
-                (payload.lock_id, payload.request_id)
-            ).resolve(payload.notices)
-        elif category is MsgCategory.LOCK_RELEASE:
-            self._manager_release(
-                payload.lock_id, payload.releaser, payload.notices
+    def _build_dispatch(self) -> dict[MsgCategory, Any]:
+        """Category -> payload handler (registered with the network)."""
+        return {
+            MsgCategory.OBJ_REQUEST: self._handle_diff_request,
+            MsgCategory.OBJ_REPLY: self._handle_diff_reply,
+            MsgCategory.LOCK_ACQUIRE: self._handle_lock_acquire,
+            MsgCategory.LOCK_GRANT: self._handle_lock_grant,
+            MsgCategory.LOCK_RELEASE: self._handle_lock_release,
+            MsgCategory.BARRIER_ARRIVE: self._manager_barrier_arrive,
+            MsgCategory.BARRIER_RELEASE: self._deliver_barrier_release,
+            MsgCategory.CONTROL: _ignore_gc_traffic,
+        }
+
+    def _handle_diff_reply(self, reply: DiffReply) -> None:
+        self._reply_waiters.pop(reply.request_id).resolve(reply)
+
+    def _handle_lock_acquire(self, msg: _LockAcquire) -> None:
+        self.lock_table.add_notices(msg.lock_id, msg.notices)
+        if self.lock_table.try_acquire(msg.lock_id, msg.requester, msg.request_id):
+            grant = self.lock_table.grant_notices(msg.lock_id, msg.requester)
+            self._send(
+                msg.requester,
+                MsgCategory.LOCK_GRANT,
+                self._notice_size(grant),
+                _LockGrant(
+                    lock_id=msg.lock_id, request_id=msg.request_id, notices=grant
+                ),
             )
-        elif category is MsgCategory.BARRIER_ARRIVE:
-            self._manager_barrier_arrive(payload)
-        elif category is MsgCategory.BARRIER_RELEASE:
-            self._deliver_barrier_release(payload)
-        elif category is MsgCategory.CONTROL and isinstance(payload, _GcTraffic):
-            pass  # accounting-only message; GC state changed at the safe point
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"homeless engine got {message!r}")
+
+    def _handle_lock_grant(self, grant: _LockGrant) -> None:
+        self._lock_waiters.pop((grant.lock_id, grant.request_id)).resolve(
+            grant.notices
+        )
+
+    def _handle_lock_release(self, msg: _LockRelease) -> None:
+        self._manager_release(msg.lock_id, msg.releaser, msg.notices)
 
     def _handle_diff_request(self, request: DiffRequest) -> None:
         diffs = [
@@ -550,8 +552,7 @@ class HomelessEngine:
         ]
         size = REQUEST_BYTES + sum(s.diff.size_bytes for s in diffs)
         self.stats.incr("obj")  # a fault-in service, for comparability
-        self.network.send(
-            self.node_id,
+        self._send(
             request.requester,
             MsgCategory.OBJ_REPLY,
             size,

@@ -39,7 +39,7 @@ from typing import Any, Generator, TYPE_CHECKING
 import numpy as np
 
 from repro import _kernel
-from repro.cluster.message import Message, MsgCategory, NOTICE_ENTRY_BYTES
+from repro.cluster.message import MsgCategory, NOTICE_ENTRY_BYTES
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.core.coefficient import home_access_coefficient
@@ -440,15 +440,6 @@ class DsmEngine:
             kernel_module.Future if kernel_module is not None else Future
         )
         self._msg_dispatch = self._build_dispatch()
-        # Compiled backend: the per-message dispatch (category lookup +
-        # handler call) runs in C.  The Dispatcher reads the *same* dict
-        # object, so handler-table semantics are identical; on_message
-        # stays available either way.
-        if kernel_module is not None:
-            handler = kernel_module.Dispatcher(self._msg_dispatch)
-        else:
-            handler = self.on_message
-        network.nodes[node_id].install_handler(handler)
         # Protocol fast paths (PR 8).  Compiled backend: the local-hit
         # read/write bodies run in C against the flat cache index, with
         # cold paths (trap bookkeeping, twin creation, tracing) falling
@@ -462,9 +453,9 @@ class DsmEngine:
             )
             self.try_read_local = self._local_access.try_read
             self.try_write_local = self._local_access.try_write
-        # Both backends register for fast (batched, Message-free)
-        # delivery so python and compiled runs keep identical event
-        # structure; the network activates it once every node is in.
+        # Delivery: the network routes each arriving message through this
+        # category -> handler dict (in C on the compiled backend) and
+        # binds our per-node sender once every node has registered.
         network.register_fast_dispatch(
             node_id, self._msg_dispatch, self._bind_fast_sender
         )
@@ -1767,20 +1758,6 @@ class DsmEngine:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        """Single dispatch point for every message arriving at this node.
-
-        One dict lookup on the (identity-hashed) category replaces the
-        historical 8-deep elif chain — at tens of thousands of messages
-        per run the average chain depth was a measurable slice of the
-        PR-1 profile.
-        """
-        try:
-            handler = self._msg_dispatch[message.category]
-        except KeyError:  # pragma: no cover - defensive
-            raise RuntimeError(f"unhandled message {message!r}") from None
-        handler(message.payload)
 
     def _build_dispatch(self) -> dict[MsgCategory, Any]:
         """Category -> bound payload handler (built once per engine)."""

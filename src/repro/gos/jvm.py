@@ -203,6 +203,7 @@ class DistributedJVM:
         for process in processes:
             if process.finished.exception is not None:
                 raise process.finished.exception
+        gos.network.publish_metrics()
         output = app.finalize(gos)
         if log_info:
             log.info(

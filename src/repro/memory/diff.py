@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import _kernel
-
 #: Per-diff fixed overhead: object id, base version, run count.
 DIFF_HEADER_BYTES = 16
 #: Per-run overhead: 4-byte offset + 4-byte length.
@@ -92,33 +90,6 @@ def compute_diff(
             f"twin/current layout mismatch for oid {oid}: "
             f"{twin.dtype}{twin.shape} vs {current.dtype}{current.shape}"
         )
-    # Compiled fast path: one C scan produces indices, values and the run
-    # count together.  Restricted to exact ndarray operands so subclasses
-    # keep their comparison-operator semantics (and the single-comparison
-    # contract below stays observable); the kernel returns NotImplemented
-    # for layouts/dtypes it does not handle, which fall through to the
-    # numpy path.
-    kernel_module = _kernel.kernel()
-    if (
-        kernel_module is not None
-        and type(twin) is np.ndarray
-        and type(current) is np.ndarray
-    ):
-        scan = kernel_module.diff_arrays(current, twin)
-        if scan is None:
-            return None
-        if scan is not NotImplemented:
-            indices, values, nruns = scan
-            return Diff(
-                oid=oid,
-                indices=indices,
-                values=values,
-                size_bytes=(
-                    DIFF_HEADER_BYTES
-                    + nruns * RUN_HEADER_BYTES
-                    + int(indices.size) * current.dtype.itemsize
-                ),
-            )
     # Single scan: one element-wise comparison feeds the cheap exit, the
     # index extraction, and (via ``_runs``) the wire-size computation.
     # Most sync intervals leave most twins untouched, so the ``not

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.cluster.hockney import FAST_ETHERNET
+from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.core.policies import AdaptiveThreshold, NoMigration
@@ -23,9 +26,50 @@ def stats() -> ClusterStats:
     return ClusterStats()
 
 
-@pytest.fixture
-def network(sim, stats) -> Network:
-    return Network(sim, FAST_ETHERNET, nnodes=4, stats=stats)
+def delivery_simulators() -> list[type]:
+    """Simulator classes of every available delivery path.
+
+    The pure-Python simulator drives the reference send and delivery
+    ports; the compiled engine, present when the kernel builds, drives
+    the C ``NetFabric``.
+    """
+    from repro import _kernel
+    from repro.sim import engine
+
+    classes = [engine.PySimulator]
+    kernel_module = _kernel.kernel()
+    if kernel_module is not None:
+        classes.append(
+            engine.CompiledSimulator
+            or engine._build_compiled_class(kernel_module)
+        )
+    return classes
+
+
+def _record(inbox, sim, node, category, payload):
+    inbox.append((node, category, payload, sim.now))
+
+
+def wired_networks(nnodes: int, model=FAST_ETHERNET, **network_kwargs):
+    """Yield ``(sim, net, stats, inbox)`` once per delivery path.
+
+    Every node registers a dispatch dict that appends ``(node,
+    category, payload, arrival_time)`` to ``inbox``, so the network is
+    live and each test body checks both the Python path and the
+    compiled fabric.
+    """
+    for sim_cls in delivery_simulators():
+        sim = sim_cls()
+        stats = ClusterStats()
+        net = Network(sim, model, nnodes, stats, **network_kwargs)
+        inbox: list = []
+        for node in range(nnodes):
+            dispatch = {
+                category: partial(_record, inbox, sim, node, category)
+                for category in MsgCategory
+            }
+            net.register_fast_dispatch(node, dispatch, lambda sender: None)
+        yield sim, net, stats, inbox
 
 
 def make_gos(nnodes: int = 4, policy=None, mechanism=None) -> GlobalObjectSpace:

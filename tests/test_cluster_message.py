@@ -1,37 +1,45 @@
-"""Tests for the message taxonomy."""
+"""Tests for the message taxonomy and the wire model of one send.
+
+A message is no object of its own: these checks run through
+``Network.send`` on every delivery path (see ``wired_networks``).
+"""
 
 import pytest
 
-from repro.cluster.message import (
-    HEADER_BYTES,
-    Message,
-    MsgCategory,
-    SYNC_CATEGORIES,
-)
+from repro.cluster.message import HEADER_BYTES, MsgCategory, SYNC_CATEGORIES
+
+from tests.conftest import wired_networks
 
 
 def test_message_size_includes_header():
-    msg = Message(src=0, dst=1, category=MsgCategory.DIFF, size_bytes=100)
-    assert msg.size_bytes == 100
+    for sim, net, stats, _inbox in wired_networks(2):
+        net.send(0, 1, MsgCategory.DIFF, size_bytes=100)
+        sim.run()
+        assert stats.msg_bytes[MsgCategory.DIFF] == 100 + HEADER_BYTES
 
 
 def test_size_below_header_rejected():
-    with pytest.raises(ValueError):
-        Message(
-            src=0, dst=1, category=MsgCategory.DIFF,
-            size_bytes=HEADER_BYTES - 1,
-        )
+    for _sim, net, stats, _inbox in wired_networks(2):
+        with pytest.raises(ValueError, match="smaller than header"):
+            net.send(0, 1, MsgCategory.DIFF, size_bytes=-1)
+        assert stats.total_messages() == 0
 
 
 def test_negative_endpoints_rejected():
-    with pytest.raises(ValueError):
-        Message(src=-1, dst=0, category=MsgCategory.DIFF, size_bytes=64)
+    for _sim, net, _stats, _inbox in wired_networks(2):
+        with pytest.raises(ValueError, match="outside cluster"):
+            net.send(-1, 0, MsgCategory.DIFF, size_bytes=24)
 
 
 def test_sequence_numbers_increase():
-    a = Message(src=0, dst=1, category=MsgCategory.CONTROL, size_bytes=64)
-    b = Message(src=0, dst=1, category=MsgCategory.CONTROL, size_bytes=64)
-    assert b.seq > a.seq
+    """Messages reaching one node at the same instant (coalesced into one
+    delivery batch) are handled in send order."""
+    for sim, net, _stats, inbox in wired_networks(5):
+        for src in range(4):
+            net.send(src, 4, MsgCategory.CONTROL, size_bytes=24, payload=src)
+        sim.run()
+        assert [payload for _n, _c, payload, _t in inbox] == [0, 1, 2, 3]
+        assert len({t for _n, _c, _p, t in inbox}) == 1
 
 
 def test_sync_categories_cover_locks_and_barriers():

@@ -1,4 +1,8 @@
-"""Tests for the network model: latency, serialization, ordering."""
+"""Tests for the network model: latency, serialization, ordering.
+
+Each test runs on every delivery path (the Python ports and, where the
+kernel builds, the compiled ``NetFabric``) via ``wired_networks``.
+"""
 
 import pytest
 
@@ -8,98 +12,91 @@ from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.sim.engine import Simulator
 
+from tests.conftest import delivery_simulators, wired_networks
+
 MODEL = HockneyModel(startup_us=100.0, bandwidth_mb_s=10.0)
 
 
-def _build(nnodes=3, service_us=0.0):
-    sim = Simulator()
-    stats = ClusterStats()
-    net = Network(sim, MODEL, nnodes, stats, service_us=service_us)
-    inbox = []
-    for node in net.nodes:
-        node.install_handler(
-            lambda msg, nid=node.node_id: inbox.append((nid, msg, sim.now))
-        )
-    return sim, net, stats, inbox
+def _wired(nnodes=3, service_us=0.0):
+    return wired_networks(nnodes, MODEL, service_us=service_us)
 
 
 def test_point_to_point_latency_matches_hockney():
-    sim, net, _stats, inbox = _build()
-    net.send(0, 1, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    (nid, msg, t), = inbox
-    assert nid == 1
-    # 460B payload + 40B header = 500B -> 100 + 50 us
-    assert msg.size_bytes == 500
-    assert t == pytest.approx(150.0)
+    for sim, net, stats, inbox in _wired():
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=460)
+        sim.run()
+        (nid, _category, _payload, t), = inbox
+        assert nid == 1
+        # 460B payload + 40B header = 500B -> 100 + 50 us
+        assert stats.msg_bytes[MsgCategory.CONTROL] == 500
+        assert t == pytest.approx(150.0)
 
 
 def test_receiver_service_time_charged():
-    sim, net, _stats, inbox = _build(service_us=7.0)
-    net.send(0, 1, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    (_nid, _msg, t), = inbox
-    assert t == pytest.approx(157.0)
+    for sim, net, _stats, inbox in _wired(service_us=7.0):
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=460)
+        sim.run()
+        (_nid, _category, _payload, t), = inbox
+        assert t == pytest.approx(157.0)
 
 
 def test_nic_serialization_backpressures_sender():
-    sim, net, _stats, inbox = _build()
-    # two 960B+40B = 1000B messages back to back: injections serialize
-    net.send(0, 1, MsgCategory.CONTROL, size_bytes=960)
-    net.send(0, 2, MsgCategory.CONTROL, size_bytes=960)
-    sim.run()
-    t1 = inbox[0][2]
-    t2 = inbox[1][2]
-    assert t1 == pytest.approx(100.0 + 100.0)
-    # second injection waits for the first (100us each), then +startup
-    assert t2 == pytest.approx(100.0 + 100.0 + 100.0)
+    for sim, net, _stats, inbox in _wired():
+        # two 960B+40B = 1000B messages back to back: injections serialize
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=960)
+        net.send(0, 2, MsgCategory.CONTROL, size_bytes=960)
+        sim.run()
+        t1 = inbox[0][3]
+        t2 = inbox[1][3]
+        assert t1 == pytest.approx(100.0 + 100.0)
+        # second injection waits for the first (100us each), then +startup
+        assert t2 == pytest.approx(100.0 + 100.0 + 100.0)
 
 
 def test_fifo_per_src_dst_pair():
-    sim, net, _stats, inbox = _build()
-    for i in range(5):
-        net.send(0, 1, MsgCategory.CONTROL, size_bytes=100 * (5 - i))
-    sim.run()
-    seqs = [msg.seq for _nid, msg, _t in inbox]
-    assert seqs == sorted(seqs)
+    for sim, net, _stats, inbox in _wired():
+        for i in range(5):
+            net.send(0, 1, MsgCategory.CONTROL, 100 * (5 - i), payload=i)
+        sim.run()
+        assert [payload for _nid, _c, payload, _t in inbox] == list(range(5))
 
 
 def test_distinct_senders_do_not_serialize():
-    sim, net, _stats, inbox = _build()
-    net.send(0, 2, MsgCategory.CONTROL, size_bytes=960)
-    net.send(1, 2, MsgCategory.CONTROL, size_bytes=960)
-    sim.run()
-    times = [t for _nid, _msg, t in inbox]
-    assert times == [pytest.approx(200.0), pytest.approx(200.0)]
+    for sim, net, _stats, inbox in _wired():
+        net.send(0, 2, MsgCategory.CONTROL, size_bytes=960)
+        net.send(1, 2, MsgCategory.CONTROL, size_bytes=960)
+        sim.run()
+        times = [t for _nid, _c, _payload, t in inbox]
+        assert times == [pytest.approx(200.0), pytest.approx(200.0)]
 
 
 def test_local_send_rejected():
-    _sim, net, _stats, _inbox = _build()
-    with pytest.raises(ValueError):
-        net.send(1, 1, MsgCategory.CONTROL, size_bytes=10)
+    for _sim, net, _stats, _inbox in _wired():
+        with pytest.raises(ValueError, match="local message"):
+            net.send(1, 1, MsgCategory.CONTROL, size_bytes=10)
 
 
 def test_out_of_range_endpoint_rejected():
-    _sim, net, _stats, _inbox = _build()
-    with pytest.raises(ValueError):
-        net.send(0, 99, MsgCategory.CONTROL, size_bytes=10)
+    for _sim, net, _stats, _inbox in _wired():
+        with pytest.raises(ValueError, match="outside cluster"):
+            net.send(0, 99, MsgCategory.CONTROL, size_bytes=10)
 
 
 def test_stats_recorded_on_send():
-    sim, net, stats, _inbox = _build()
-    net.send(0, 1, MsgCategory.DIFF, size_bytes=60)
-    assert stats.msg_count[MsgCategory.DIFF] == 1
-    assert stats.msg_bytes[MsgCategory.DIFF] == 60 + HEADER_BYTES
-    sim.run()
+    for sim, net, stats, _inbox in _wired():
+        net.send(0, 1, MsgCategory.DIFF, size_bytes=60)
+        assert stats.msg_count[MsgCategory.DIFF] == 1
+        assert stats.msg_bytes[MsgCategory.DIFF] == 60 + HEADER_BYTES
+        sim.run()
 
 
 def test_broadcast_reaches_everyone_but_sender():
-    sim, net, _stats, inbox = _build(nnodes=5)
-    msgs = net.broadcast(2, MsgCategory.HOME_BCAST, size_bytes=8)
-    sim.run()
-    assert len(msgs) == 4
-    receivers = sorted(nid for nid, _msg, _t in inbox)
-    assert receivers == [0, 1, 3, 4]
+    for sim, net, stats, inbox in _wired(nnodes=5):
+        assert net.broadcast(2, MsgCategory.HOME_BCAST, size_bytes=8) is None
+        sim.run()
+        receivers = sorted(nid for nid, _c, _payload, _t in inbox)
+        assert receivers == [0, 1, 3, 4]
+        assert stats.msg_count[MsgCategory.HOME_BCAST] == 4
 
 
 def test_single_node_network_allowed():
@@ -114,14 +111,37 @@ def test_zero_nodes_rejected():
 
 
 def test_node_without_handler_raises():
+    """A category missing from the receiver's dispatch dict fails at
+    delivery, naming the category."""
+    for sim_cls in delivery_simulators():
+        sim = sim_cls()
+        net = Network(sim, MODEL, 2, ClusterStats())
+        for node in range(2):
+            net.register_fast_dispatch(node, {}, lambda sender: None)
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=10)
+        with pytest.raises(RuntimeError, match="unhandled message category"):
+            sim.run()
+
+
+def test_node_registered_twice_rejected():
     sim = Simulator()
     net = Network(sim, MODEL, 2, ClusterStats())
-    net.send(0, 1, MsgCategory.CONTROL, size_bytes=10)
-    with pytest.raises(RuntimeError):
-        sim.run()
+    net.register_fast_dispatch(0, {}, lambda sender: None)
+    with pytest.raises(RuntimeError, match="node 0 already registered"):
+        net.register_fast_dispatch(0, {}, lambda sender: None)
 
 
-def test_handler_installed_twice_rejected():
-    _sim, net, _stats, _inbox = _build()
-    with pytest.raises(RuntimeError):
-        net.nodes[0].install_handler(lambda msg: None)
+def test_send_before_every_node_registered_raises():
+    sim = Simulator()
+    net = Network(sim, MODEL, 3, ClusterStats())
+    net.register_fast_dispatch(0, {}, lambda sender: None)
+    with pytest.raises(
+        RuntimeError, match=r"before every node registered .*1 of 3"
+    ):
+        net.send(0, 1, MsgCategory.CONTROL, size_bytes=10)
+
+
+def test_register_outside_cluster_rejected():
+    net = Network(Simulator(), MODEL, 2, ClusterStats())
+    with pytest.raises(ValueError, match="outside cluster"):
+        net.register_fast_dispatch(2, {}, lambda sender: None)

@@ -1,37 +1,51 @@
-"""Tests for cluster statistics accounting."""
+"""Tests for cluster statistics accounting.
+
+Traffic is produced by real sends on every delivery path (see
+``wired_networks``); sizes below are total wire bytes, header included.
+"""
 
 import pytest
 
-from repro.cluster.message import Message, MsgCategory
+from repro.cluster.message import HEADER_BYTES, MsgCategory
 from repro.cluster.stats import BREAKDOWN_EVENTS, ClusterStats
 
-
-def _msg(category, size=64):
-    return Message(src=0, dst=1, category=category, size_bytes=size)
+from tests.conftest import wired_networks
 
 
-def test_record_message_counts_and_bytes(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
-    stats.record_message(_msg(MsgCategory.DIFF, 150))
-    stats.record_message(_msg(MsgCategory.OBJ_REPLY, 1000))
-    assert stats.msg_count[MsgCategory.DIFF] == 2
-    assert stats.msg_bytes[MsgCategory.DIFF] == 250
-    assert stats.total_messages() == 3
-    assert stats.total_bytes() == 1250
+def _sent(*traffic):
+    """Stats after sending ``(category, wire_bytes)`` messages 0 -> 1,
+    once per delivery path."""
+    for sim, net, stats, _inbox in wired_networks(2):
+        for category, wire_bytes in traffic:
+            net.send(0, 1, category, wire_bytes - HEADER_BYTES)
+        sim.run()
+        yield stats
 
 
-def test_exclusion_filters(stats):
-    stats.record_message(_msg(MsgCategory.DIFF))
-    stats.record_message(_msg(MsgCategory.LOCK_GRANT))
-    assert stats.total_messages(exclude=[MsgCategory.LOCK_GRANT]) == 1
-    assert stats.data_messages() == 1
+def test_send_counts_messages_and_bytes():
+    sent = _sent(
+        (MsgCategory.DIFF, 100),
+        (MsgCategory.DIFF, 150),
+        (MsgCategory.OBJ_REPLY, 1000),
+    )
+    for stats in sent:
+        assert stats.msg_count[MsgCategory.DIFF] == 2
+        assert stats.msg_bytes[MsgCategory.DIFF] == 250
+        assert stats.total_messages() == 3
+        assert stats.total_bytes() == 1250
 
 
-def test_data_bytes_excludes_sync(stats):
-    stats.record_message(_msg(MsgCategory.BARRIER_ARRIVE, 500))
-    stats.record_message(_msg(MsgCategory.OBJ_REPLY, 800))
-    assert stats.data_bytes() == 800
-    assert stats.total_bytes() == 1300
+def test_exclusion_filters():
+    for stats in _sent((MsgCategory.DIFF, 64), (MsgCategory.LOCK_GRANT, 64)):
+        assert stats.total_messages(exclude=[MsgCategory.LOCK_GRANT]) == 1
+        assert stats.data_messages() == 1
+
+
+def test_data_bytes_excludes_sync():
+    sent = _sent((MsgCategory.BARRIER_ARRIVE, 500), (MsgCategory.OBJ_REPLY, 800))
+    for stats in sent:
+        assert stats.data_bytes() == 800
+        assert stats.total_bytes() == 1300
 
 
 def test_event_counters(stats):
@@ -55,12 +69,10 @@ def test_breakdown_has_all_figure5_categories(stats):
     assert breakdown["mig"] == 0
 
 
-def test_merge_accumulates_all_counters(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
+def test_merge_accumulates_all_counters():
+    stats = next(_sent((MsgCategory.DIFF, 100)))
     stats.incr("migration", 2)
-    other = ClusterStats()
-    other.record_message(_msg(MsgCategory.DIFF, 50))
-    other.record_message(_msg(MsgCategory.OBJ_REPLY, 500))
+    other = next(_sent((MsgCategory.DIFF, 50), (MsgCategory.OBJ_REPLY, 500)))
     other.incr("migration")
     other.incr("redir", 4)
     returned = stats.merge(other)
@@ -75,9 +87,8 @@ def test_merge_accumulates_all_counters(stats):
     assert other.events["migration"] == 1
 
 
-def test_from_snapshot_round_trips(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
-    stats.record_message(_msg(MsgCategory.LOCK_GRANT, 60))
+def test_from_snapshot_round_trips():
+    stats = next(_sent((MsgCategory.DIFF, 100), (MsgCategory.LOCK_GRANT, 60)))
     stats.incr("obj", 7)
     rebuilt = ClusterStats.from_snapshot(stats.snapshot())
     assert rebuilt.snapshot() == stats.snapshot()
@@ -85,9 +96,9 @@ def test_from_snapshot_round_trips(stats):
     assert rebuilt.data_messages() == stats.data_messages()
 
 
-def test_merge_of_snapshots_across_boundary(stats):
+def test_merge_of_snapshots_across_boundary():
     """Snapshots shipped across processes aggregate via from_snapshot."""
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
+    stats = next(_sent((MsgCategory.DIFF, 100)))
     stats.incr("migration")
     wire = stats.snapshot()  # what crosses the process boundary
     total = ClusterStats()
@@ -98,8 +109,8 @@ def test_merge_of_snapshots_across_boundary(stats):
     assert total.events["migration"] == 2
 
 
-def test_snapshot_is_plain_and_stable(stats):
-    stats.record_message(_msg(MsgCategory.DIFF, 100))
+def test_snapshot_is_plain_and_stable():
+    stats = next(_sent((MsgCategory.DIFF, 100)))
     stats.incr("migration")
     snap = stats.snapshot()
     assert snap["msg_count"] == {"diff": 1}

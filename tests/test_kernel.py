@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro import _kernel
+from repro.cluster.hockney import FAST_ETHERNET
+from repro.cluster.network import Network
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -104,45 +106,55 @@ def test_engine_counter_exact_on_raise(sim_classes):
 
 
 # --------------------------------------------------------------------------
-# Dispatcher
+# Delivery dispatch: the fabric's ports against the Python ports
 # --------------------------------------------------------------------------
 
 
-class _Msg:
-    def __init__(self, category, payload):
-        self.category = category
-        self.payload = payload
+def _wire(sim_cls, dispatch):
+    """A 2-node network whose node 1 delivers through ``dispatch``."""
+    sim = sim_cls()
+    net = Network(sim, FAST_ETHERNET, 2)
+    net.register_fast_dispatch(0, {}, lambda sender: None)
+    net.register_fast_dispatch(1, dispatch, lambda sender: None)
+    return sim, net
 
 
-def test_dispatcher_routes_by_category(km):
-    seen = []
-    dispatcher = km.Dispatcher({"ping": seen.append, "pong": seen.append})
-    dispatcher(_Msg("ping", 1))
-    dispatcher(_Msg("pong", 2))
-    assert seen == [1, 2]
+def test_dispatcher_routes_by_category(sim_classes):
+    for sim_cls in sim_classes:
+        seen = []
+        dispatch = {"ping": seen.append, "pong": lambda p: seen.append(-p)}
+        sim, net = _wire(sim_cls, dispatch)
+        net.send(0, 1, "ping", 8, 1)
+        net.send(0, 1, "pong", 8, 2)
+        sim.run()
+        assert seen == [1, -2]
 
 
-def test_dispatcher_unhandled_message_matches_python(km):
-    dispatcher = km.Dispatcher({})
-    msg = _Msg("mystery", None)
-    with pytest.raises(RuntimeError) as compiled_err:
-        dispatcher(msg)
-    # the pure-Python DsmEngine.on_message wording
-    assert str(compiled_err.value) == f"unhandled message {msg!r}"
+def test_dispatcher_unhandled_message_matches_python(sim_classes):
+    messages = []
+    for sim_cls in sim_classes:
+        sim, net = _wire(sim_cls, {})
+        net.send(0, 1, "mystery", 8)
+        with pytest.raises(RuntimeError) as err:
+            sim.run()
+        messages.append(str(err.value))
+    assert messages == ["unhandled message category 'mystery'"] * 2
 
 
-def test_dispatcher_sees_dict_mutations(km):
-    """The Dispatcher wraps the live dict — handler swaps take effect."""
-    table = {}
-    dispatcher = km.Dispatcher(table)
-    seen = []
-    table["late"] = seen.append
-    dispatcher(_Msg("late", "x"))
-    assert seen == ["x"]
+def test_dispatcher_sees_dict_mutations(sim_classes):
+    """Ports read the registered dict live — handler swaps take effect."""
+    for sim_cls in sim_classes:
+        table = {}
+        seen = []
+        sim, net = _wire(sim_cls, table)
+        table["late"] = seen.append
+        net.send(0, 1, "late", 8, "x")
+        sim.run()
+        assert seen == ["x"]
 
 
 # --------------------------------------------------------------------------
-# diff_arrays
+# compute_diff and adaptive_threshold: Python-only kernels
 # --------------------------------------------------------------------------
 
 
@@ -158,7 +170,9 @@ def _reference_scan(current, twin):
 @pytest.mark.parametrize(
     "dtype", ["float64", "float32", "int64", "int32", "int16", "int8", "bool"]
 )
-def test_diff_arrays_matches_numpy(km, dtype):
+def test_diff_arrays_matches_numpy(dtype):
+    from repro.memory.diff import DIFF_HEADER_BYTES, RUN_HEADER_BYTES, compute_diff
+
     rng = np.random.default_rng(42)
     for _ in range(25):
         size = int(rng.integers(1, 200))
@@ -166,41 +180,36 @@ def test_diff_arrays_matches_numpy(km, dtype):
         current = twin.copy()
         flips = rng.random(size) < 0.2
         current[flips] = (rng.integers(1, 4, size) * 7).astype(dtype)[flips]
-        got = km.diff_arrays(current, twin)
+        got = compute_diff(1, twin, current)
         want = _reference_scan(current, twin)
         if want is None:
             assert got is None
             continue
-        indices, values, nruns = got
-        np.testing.assert_array_equal(indices, want[0])
-        np.testing.assert_array_equal(values, want[1])
-        assert values.dtype == current.dtype
-        assert nruns == want[2]
+        np.testing.assert_array_equal(got.indices, want[0])
+        np.testing.assert_array_equal(got.values, want[1])
+        assert got.values.dtype == current.dtype
+        assert got.size_bytes == (
+            DIFF_HEADER_BYTES
+            + want[2] * RUN_HEADER_BYTES
+            + want[0].size * current.dtype.itemsize
+        )
 
 
-def test_diff_arrays_float_edge_semantics(km):
+def test_diff_arrays_float_edge_semantics():
     """NaN and signed zero follow numpy ``!=``: NaN always differs,
     -0.0 vs 0.0 never does."""
+    from repro.memory.diff import compute_diff
+
     twin = np.array([0.0, np.nan, 1.0, np.nan], dtype=np.float64)
     current = np.array([-0.0, np.nan, 1.0, 2.0], dtype=np.float64)
-    indices, values, nruns = km.diff_arrays(current, twin)
-    np.testing.assert_array_equal(indices, [1, 3])
-    assert np.isnan(values[0]) and values[1] == 2.0
-    assert nruns == 2
+    diff = compute_diff(1, twin, current)
+    np.testing.assert_array_equal(diff.indices, [1, 3])
+    assert np.isnan(diff.values[0]) and diff.values[1] == 2.0
 
 
-def test_diff_arrays_unsupported_layouts_return_notimplemented(km):
-    base = np.zeros(16, dtype=np.float64)
-    assert km.diff_arrays(base[::2], base[1::2]) is NotImplemented
-    two_d = np.zeros((4, 4))
-    assert km.diff_arrays(two_d, two_d) is NotImplemented
-    cplx = np.zeros(4, dtype=np.complex128)
-    assert km.diff_arrays(cplx, cplx) is NotImplemented
-
-
-def test_compute_diff_skips_ndarray_subclasses(km):
-    """``compute_diff`` must keep the numpy path for subclasses (tests
-    count ``__ne__`` calls on them)."""
+def test_compute_diff_skips_ndarray_subclasses():
+    """``compute_diff`` handles ndarray subclasses (tests count their
+    ``__ne__`` calls)."""
 
     class Tagged(np.ndarray):
         pass
@@ -210,55 +219,24 @@ def test_compute_diff_skips_ndarray_subclasses(km):
     twin = np.arange(8, dtype=np.float64).view(Tagged)
     current = twin.copy()
     current[3] += 1.0
-    diff = compute_diff(1, current, twin)
+    diff = compute_diff(1, twin, current)
     np.testing.assert_array_equal(diff.indices, [3])
 
 
-# --------------------------------------------------------------------------
-# adaptive_threshold
-# --------------------------------------------------------------------------
+def test_adaptive_threshold_matches_expression():
+    from repro.core.threshold import adaptive_threshold
 
-
-def test_adaptive_threshold_matches_expression(km):
     rng = np.random.default_rng(7)
     for _ in range(200):
         red, excl = rng.uniform(0, 50, 2)
         alpha, lam = rng.uniform(0.01, 3.0, 2)
         t_init = rng.uniform(0, 10)
         base = t_init + rng.uniform(0, 50)
-        got = km.adaptive_threshold(base, red, excl, alpha, lam, t_init)
+        got = adaptive_threshold(base, red, excl, alpha, lam, t_init)
         want = base + lam * (red - alpha * excl)
         if want < t_init:
             want = t_init
         assert got == want  # bit-identical, not approx
-
-
-def test_adaptive_threshold_error_messages_match(km):
-    from repro.core import threshold
-
-    cases = [
-        {"base": -1.0},
-        {"redirections": -1.0},
-        {"exclusive_home_writes": -2.0},
-        {"alpha": -0.5},
-        {"alpha": 0.0},
-        {"lam": -2.0},
-    ]
-    for overrides in cases:
-        kwargs = dict(
-            base=5.0, redirections=2.0, exclusive_home_writes=1.0,
-            alpha=0.5, lam=1.0, t_init=1.0,
-        )
-        kwargs.update(overrides)
-        with pytest.raises(ValueError) as compiled_err:
-            km.adaptive_threshold(
-                kwargs["base"], kwargs["redirections"],
-                kwargs["exclusive_home_writes"], kwargs["alpha"],
-                kwargs["lam"], kwargs["t_init"],
-            )
-        with pytest.raises(ValueError) as python_err:
-            threshold._py_adaptive_threshold(**kwargs)
-        assert str(compiled_err.value) == str(python_err.value)
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,15 @@
 import json
 from dataclasses import replace
 
+import pytest
+
+from repro import _kernel
+from repro.apps import Asp
 from repro.bench.executor import ObsSpec, RunSpec, execute, run_spec
 from repro.bench.obs_report import render_trace_report
+from repro.bench.runner import make_policy
+from repro.cluster.hockney import FAST_ETHERNET
+from repro.gos.jvm import DistributedJVM
 from repro.obs.export import load_trace
 from repro.obs.metrics import MetricsRegistry
 
@@ -126,3 +133,44 @@ def test_cli_report_target(tmp_path, capsys):
     assert main(["report", "--trace", trace]) == 0
     out = capsys.readouterr().out
     assert "migrations" in out
+
+
+#: ``net_*`` counters of ASP-32/AT/4 with a registry attached, recorded
+#: when metrics-on runs still took a per-send metrics path.
+PINNED_NET_COUNTERS = {
+    "barrier_arrive": (96, 13008),
+    "barrier_release": (96, 38448),
+    "diff": (24, 4984),
+    "diff_ack": (24, 1152),
+    "obj_reply": (172, 55040),
+    "obj_reply_mig": (24, 8832),
+    "obj_request": (240, 11520),
+    "redirect": (44, 2112),
+}
+
+
+def test_metrics_on_compiled_run_uses_fabric_and_pinned_net_counters():
+    """Attaching a registry keeps the compiled fabric, and the run-end
+    ``net_*`` counters equal the pinned per-send totals."""
+    kernel_module = _kernel.kernel()
+    if kernel_module is None:
+        pytest.skip("compiled backend unavailable")
+    metrics = MetricsRegistry()
+    jvm = DistributedJVM(
+        nodes=4,
+        comm_model=FAST_ETHERNET,
+        policy=make_policy("AT"),
+        metrics=metrics,
+    )
+    result = jvm.run(Asp(size=32))
+    assert isinstance(result.gos.network._fabric, kernel_module.NetFabric)
+    counters = {
+        (c["name"], c["labels"]["category"]): c["value"]
+        for c in metrics.snapshot()["counters"]
+        if c["name"].startswith("net_")
+    }
+    expected = {}
+    for category, (count, nbytes) in PINNED_NET_COUNTERS.items():
+        expected["net_messages_total", category] = count
+        expected["net_bytes_total", category] = nbytes
+    assert counters == expected

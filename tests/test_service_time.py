@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import SingleWriterBenchmark
 from repro.cluster.hockney import FAST_ETHERNET
-from repro.cluster.node import DEFAULT_SERVICE_US
+from repro.cluster.network import DEFAULT_SERVICE_US
 from repro.core.policies import NoMigration
 from repro.gos.jvm import DistributedJVM
 
@@ -35,8 +35,8 @@ def test_service_time_slows_execution_proportionally():
 
 
 def test_negative_service_time_rejected():
-    from repro.cluster.node import Node
+    from repro.cluster.network import Network
     from repro.sim.engine import Simulator
 
-    with pytest.raises(ValueError):
-        Node(0, Simulator(), service_us=-1.0)
+    with pytest.raises(ValueError, match="service_us"):
+        Network(Simulator(), FAST_ETHERNET, 2, service_us=-1.0)

@@ -3,13 +3,13 @@
 Covers the per-pair cost triples of the hierarchical and fat-tree
 models, the colon-spec/dict/instance forms of :func:`make_topology`,
 and the Network integration: hop latency, oversubscription penalty,
-and serialized uplink contention on the legacy send path.
+and serialized uplink contention on every delivery path.
 """
 
 import pytest
 
 from repro.cluster.hockney import HockneyModel
-from repro.cluster.message import HEADER_BYTES, MsgCategory
+from repro.cluster.message import MsgCategory
 from repro.cluster.network import Network
 from repro.cluster.stats import ClusterStats
 from repro.cluster.topology import (
@@ -20,22 +20,23 @@ from repro.cluster.topology import (
 )
 from repro.sim.engine import Simulator
 
+from tests.conftest import wired_networks
+
 #: startup 100 us, 10 MB/s == 10 bytes/us — round numbers for hand math.
 MODEL = HockneyModel(startup_us=100.0, bandwidth_mb_s=10.0)
+CONTENDED = "hier:leaf=4:hop=5:oversub=4:contention=1"
 
 
-def _build(nnodes, topology=None):
-    sim = Simulator()
-    net = Network(
-        sim, MODEL, nnodes, ClusterStats(), service_us=0.0,
-        topology=topology,
-    )
-    inbox = []
-    for node in net.nodes:
-        node.install_handler(
-            lambda msg, nid=node.node_id: inbox.append((nid, sim.now))
-        )
-    return sim, net, inbox
+def _runs(nnodes, topology, sends):
+    """Send ``(src, dst)`` 460-byte messages on every delivery path;
+    yield each path's ``(dst, arrival_time)`` list."""
+    for sim, net, _stats, inbox in wired_networks(
+        nnodes, MODEL, service_us=0.0, topology=topology
+    ):
+        for src, dst in sends:
+            net.send(src, dst, MsgCategory.CONTROL, size_bytes=460)
+        sim.run()
+        yield [(nid, t) for nid, _category, _payload, t in inbox]
 
 
 # -- per-pair cost triples -------------------------------------------------
@@ -108,7 +109,7 @@ def test_parameter_validation():
         FatTreeTopology(8, edge_size=0)
     with pytest.raises(ValueError, match="pod_size"):
         FatTreeTopology(8, pod_size=0)
-    with pytest.raises(ValueError, match="ratios"):
+    with pytest.raises(ValueError, match="core_oversubscription"):
         FatTreeTopology(8, core_oversubscription=0.9)
 
 
@@ -156,6 +157,17 @@ def test_make_topology_rejects_bad_specs():
         make_topology("hier:leaves=4", 8)
     with pytest.raises(ValueError, match="malformed topology parameter"):
         make_topology("hier:leaf", 8)
+    # non-finite floats would reach the simulation as NaN/inf arrivals
+    with pytest.raises(ValueError, match="hop_us must be finite"):
+        make_topology("fat-tree:edge=4:hop=nan", 8)
+    with pytest.raises(ValueError, match="oversubscription must be finite"):
+        make_topology("fat-tree:edge=4:oversub=nan", 8)
+    with pytest.raises(ValueError, match="oversubscription must be finite"):
+        make_topology("fat-tree:edge=4:oversub=inf", 8)
+    with pytest.raises(ValueError, match="'edge' given twice"):
+        make_topology("fat-tree:edge=16:edge=4", 8)
+    with pytest.raises(ValueError, match="'edge' has invalid value 'x'"):
+        make_topology("fat-tree:edge=x", 8)
 
 
 # -- Network integration ---------------------------------------------------
@@ -164,79 +176,51 @@ def test_make_topology_rejects_bad_specs():
 def test_flat_topology_matches_no_topology():
     """A flat topology charges exactly the seed's single-switch cost."""
     for topology in (None, "flat"):
-        sim, net, inbox = _build(4, topology=topology)
-        net.send(0, 3, MsgCategory.CONTROL, size_bytes=460)
-        sim.run()
-        (_, t), = inbox
-        # 500B total / 10 B/us = 50 us wire + 100 us startup
-        assert t == pytest.approx(150.0)
+        for (_, t), in _runs(4, topology, [(0, 3)]):
+            # 500B total / 10 B/us = 50 us wire + 100 us startup
+            assert t == pytest.approx(150.0)
 
 
 def test_cross_leaf_pays_hops_and_penalty():
-    sim, net, inbox = _build(
-        8, topology="hier:leaf=4:hop=5:oversub=4"
-    )
-    net.send(0, 4, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    (_, t), = inbox
-    # 50 wire + 100 startup + 2*5 hops + 50*(4-1) oversub stretch
-    assert t == pytest.approx(310.0)
+    for (_, t), in _runs(8, "hier:leaf=4:hop=5:oversub=4", [(0, 4)]):
+        # 50 wire + 100 startup + 2*5 hops + 50*(4-1) oversub stretch
+        assert t == pytest.approx(310.0)
 
 
 def test_same_leaf_stays_at_hockney_cost():
-    sim, net, inbox = _build(
-        8, topology="hier:leaf=4:hop=5:oversub=4"
-    )
-    net.send(0, 3, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    (_, t), = inbox
-    assert t == pytest.approx(150.0)
+    for (_, t), in _runs(8, "hier:leaf=4:hop=5:oversub=4", [(0, 3)]):
+        assert t == pytest.approx(150.0)
 
 
 def test_contention_serializes_same_leaf_uplink():
     """Two same-leaf senders crossing the spine queue on the shared
     uplink: the second message's occupancy starts when the first ends."""
-    sim, net, inbox = _build(
-        8, topology="hier:leaf=4:hop=5:oversub=4:contention=1"
-    )
-    net.send(0, 4, MsgCategory.CONTROL, size_bytes=460)
-    net.send(1, 5, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    times = dict(inbox)
-    # first: NIC 0..50, uplink occupancy 500*4/10 = 200 -> ends 250,
-    # + startup 100 + hops 10 = 360
-    assert times[4] == pytest.approx(360.0)
-    # second: own NIC free (different node) -> injection ends 50, but
-    # the leaf uplink is busy until 250 -> ends 450, arrives 560
-    assert times[5] == pytest.approx(560.0)
+    for arrivals in _runs(8, CONTENDED, [(0, 4), (1, 5)]):
+        times = dict(arrivals)
+        # first: NIC 0..50, uplink occupancy 500*4/10 = 200 -> ends 250,
+        # + startup 100 + hops 10 = 360
+        assert times[4] == pytest.approx(360.0)
+        # second: own NIC free (different node) -> injection ends 50, but
+        # the leaf uplink is busy until 250 -> ends 450, arrives 560
+        assert times[5] == pytest.approx(560.0)
 
 
 def test_contention_leaves_other_leaves_alone():
     """Senders on different leaves use different uplinks: no queueing."""
-    sim, net, inbox = _build(
-        8, topology="hier:leaf=4:hop=5:oversub=4:contention=1"
-    )
-    net.send(0, 4, MsgCategory.CONTROL, size_bytes=460)
-    net.send(4, 0, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    times = dict(inbox)
-    assert times[4] == pytest.approx(360.0)
-    assert times[0] == pytest.approx(360.0)
+    for arrivals in _runs(8, CONTENDED, [(0, 4), (4, 0)]):
+        times = dict(arrivals)
+        assert times[4] == pytest.approx(360.0)
+        assert times[0] == pytest.approx(360.0)
 
 
 def test_contention_intra_leaf_traffic_skips_uplink():
     """Same-leaf messages never occupy the uplink even with contention
     on — a later cross-leaf message sees a free link."""
-    sim, net, inbox = _build(
-        8, topology="hier:leaf=4:hop=5:oversub=4:contention=1"
-    )
-    net.send(0, 3, MsgCategory.CONTROL, size_bytes=460)
-    net.send(1, 4, MsgCategory.CONTROL, size_bytes=460)
-    sim.run()
-    times = dict(inbox)
-    assert times[3] == pytest.approx(150.0)
-    # uplink was idle: occupancy 50..250, + 100 startup + 10 hops
-    assert times[4] == pytest.approx(360.0)
+    for arrivals in _runs(8, CONTENDED, [(0, 3), (1, 4)]):
+        times = dict(arrivals)
+        assert times[3] == pytest.approx(150.0)
+        # uplink was idle: occupancy 50..250, + 100 startup + 10 hops
+        assert times[4] == pytest.approx(360.0)
 
 
 def test_network_rejects_mismatched_topology():
