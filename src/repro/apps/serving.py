@@ -246,6 +246,20 @@ def build_serving_program(spec: ServingSpec) -> ProgramSpec:
         )
     if not 0.0 <= spec.churn < 1.0:
         raise ValueError(f"churn must be in [0, 1), got {spec.churn!r}")
+    for name in ("read_fraction", "owned_fraction"):
+        value = getattr(spec, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    for name in ("keys", "key_len", "phases", "requests_per_thread"):
+        value = getattr(spec, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    for name in ("zipf_s", "mean_gap_us", "think_us"):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(
+                f"{name} must be finite and >= 0, got {value!r}"
+            )
     rng = random.Random(spec.seed)
     nthreads = spec.nthreads
     placement = [t % spec.nodes for t in range(nthreads)]

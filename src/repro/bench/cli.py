@@ -267,14 +267,16 @@ def _run_serve_target(args, parser) -> int:
         topology=args.topology,
         release_fanout=args.release_fanout,
     )
-    if len(policies) == 1:
-        payload = run_serving(spec)
-        rendered = render_serving(payload)
-        digest = report_digest(payload)
-    else:
-        payload = run_serving_race(spec, policies)
-        rendered = render_race(payload)
-        digest = report_digest(payload)
+    try:
+        if len(policies) == 1:
+            payload = run_serving(spec)
+            rendered = render_serving(payload)
+        else:
+            payload = run_serving_race(spec, policies)
+            rendered = render_race(payload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    digest = report_digest(payload)
     print(rendered)
     print(f"report digest: {digest}")
     # path notices go to stderr so stdout stays byte-diffable across
@@ -289,6 +291,12 @@ def _run_serve_target(args, parser) -> int:
             handle.write("\n")
         print(f"raw report written to {args.json}", file=sys.stderr)
     return 0
+
+
+def _input_error(parser, exc: Exception) -> int:
+    """Report an unreadable input file as one error line; exit status 2."""
+    print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -499,7 +507,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("the report target requires --trace PATH")
         from repro.bench.obs_report import render_trace_report
 
-        print(render_trace_report(args.trace, oid=args.oid))
+        try:
+            rendered = render_trace_report(args.trace, oid=args.oid)
+        except (OSError, ValueError) as exc:
+            return _input_error(parser, exc)
+        print(rendered)
         return 0
 
     if args.target == "analyze":
@@ -515,7 +527,10 @@ def main(argv: list[str] | None = None) -> int:
             write_json_report,
         )
 
-        slo = analyze_trace(trace_path)
+        try:
+            slo = analyze_trace(trace_path)
+        except (OSError, ValueError) as exc:
+            return _input_error(parser, exc)
         if slo["spans"]["opened"] == 0:
             # Not an error: the trace is valid, it just wasn't recorded
             # with span kinds.  Say exactly how to get an analyzable one

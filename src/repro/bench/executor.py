@@ -420,10 +420,11 @@ def execute(
     ``obs`` applies one observability configuration to every spec that
     does not already carry its own (per-run trace files are derived via
     :meth:`ObsSpec.for_run`).  ``progress`` is called as
-    ``progress(done, total, outcome)`` after each run finishes, in
-    completion order — use it for live heartbeats and for harvesting
-    telemetry incrementally.  Neither affects the deterministic fields
-    of the outcomes.
+    ``progress(done, total, outcome)`` once per run, in spec order
+    whatever the completion order — so a harvest that merges telemetry
+    in the callback (last-write-wins gauges) gives the same result for
+    every ``jobs``.  Neither affects the deterministic fields of the
+    outcomes.
     """
     spec_list = list(specs)
     if jobs is None:
@@ -451,13 +452,19 @@ def execute(
                 for i, spec in enumerate(spec_list)
             }
             results: list[RunOutcome | None] = [None] * len(spec_list)
-            done = 0
+            reported = 0
             for future in as_completed(futures):
-                outcome = future.result()
-                results[futures[future]] = outcome
-                done += 1
-                if progress is not None:
-                    progress(done, len(spec_list), outcome)
+                results[futures[future]] = future.result()
+                # report the finished prefix of the spec list, in order
+                while (
+                    reported < len(spec_list)
+                    and results[reported] is not None
+                ):
+                    reported += 1
+                    if progress is not None:
+                        progress(
+                            reported, len(spec_list), results[reported - 1]
+                        )
             return results  # type: ignore[return-value]
     except (OSError, BrokenProcessPool):
         return _execute_sequential(spec_list, progress)

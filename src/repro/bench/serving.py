@@ -1,8 +1,8 @@
 """SLO measurement over serving episodes (``repro-bench serve``).
 
 Runs a :class:`~repro.apps.serving.ServingSpec` episode with request
-spans captured *online* — an in-process trace subscriber folds every
-``request`` span into per-class
+spans captured *online* — the run's span sink folds every ``request``
+span into per-class
 :class:`~repro.obs.hist.LatencyHistogram` instances and a per-epoch
 :class:`~repro.obs.hist.EpochSeries` as it streams by, so a 256-node
 run never materializes a JSONL trace — and renders a deterministic SLO
@@ -37,7 +37,7 @@ from repro.check.fuzz import build_mechanism, build_policy
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
 from repro.obs.hist import EpochSeries, LatencyHistogram
-from repro.trace.recorder import TraceRecorder
+from repro.obs.spans import SPAN_CLOSE, SPAN_OPEN
 
 __all__ = [
     "SERVE_POLICIES",
@@ -59,13 +59,17 @@ SERVE_POLICIES = ("NM", "AT", "ATD", "JUMP", "LF", "JIAJIA")
 
 
 class _RequestCollector:
-    """Online span-stream folder: request latency + epoch throughput.
+    """Online span sink: request latency + epoch throughput.
 
-    Subscribed to the run's :class:`~repro.trace.recorder.TraceRecorder`;
-    holds per-class histograms, per-epoch request counts, and the close
-    time of each barrier round (the epoch windows).  Everything it
-    accumulates is a deterministic function of the span stream.
+    Passed as the run's ``tracer``: it implements the tracer protocol
+    (``wants``/``record``) for the two span kinds only and keeps no
+    events (``events`` is empty), just per-class histograms, per-epoch
+    request counts, and the close time of each barrier round (the epoch
+    windows).  Everything it accumulates is a deterministic function of
+    the span stream.
     """
+
+    events = ()
 
     def __init__(self) -> None:
         self.hists: dict[str, LatencyHistogram] = {}
@@ -76,54 +80,58 @@ class _RequestCollector:
         self._open: dict[int, tuple[float, str, int]] = {}
         self._open_barriers: dict[int, int] = {}
 
-    def on_event(self, event) -> None:
-        """TraceRecorder subscriber: fold one span event."""
-        d = event.detail
-        if event.kind == "span_open":
-            kind = d.get("op_kind")
-            if kind == "request":
+    def wants(self, kind: str) -> bool:
+        """Tracer protocol: only the span kinds are consumed."""
+        return kind == SPAN_OPEN or kind == SPAN_CLOSE
+
+    def record(
+        self, kind: str, time_us: float, oid: int, node: int, **d
+    ) -> None:
+        """Tracer protocol: fold one span event."""
+        if kind == SPAN_OPEN:
+            op_kind = d.get("op_kind")
+            if op_kind == "request":
                 self.opened += 1
                 self._open[d["op"]] = (
-                    event.time_us, d.get("cls", "?"), d.get("epoch", 0)
+                    time_us, d.get("cls", "?"), d.get("epoch", 0)
                 )
-            elif kind == "barrier_wait" and d.get("round") is not None:
+            elif op_kind == "barrier_wait" and d.get("round") is not None:
                 self._open_barriers[d["op"]] = d["round"]
-        elif event.kind == "span_close":
+        elif kind == SPAN_CLOSE:
             op = d.get("op")
             if op in self._open:
                 open_us, cls, epoch = self._open.pop(op)
                 self.closed += 1
                 self.hists.setdefault(cls, LatencyHistogram()).record(
-                    event.time_us - open_us
+                    time_us - open_us
                 )
                 self.epoch_requests.note(epoch)
             elif op in self._open_barriers:
                 round_no = self._open_barriers.pop(op)
                 prev = self.barrier_close.get(round_no)
-                if prev is None or event.time_us > prev:
-                    self.barrier_close[round_no] = event.time_us
+                if prev is None or time_us > prev:
+                    self.barrier_close[round_no] = time_us
 
 
 def run_serving(spec: ServingSpec) -> dict:
     """Run one serving episode and return its deterministic SLO report.
 
     The episode expands to a ProgramSpec, runs on a fresh simulated
-    cluster with only span events captured, and the report is assembled
+    cluster with the request collector as its only span sink, and the
+    report is assembled
     from the online collector plus the run's deterministic counters —
     per request class latency (p50/p99/p999 with saturation flags) and
     per-epoch throughput in simulated time.
     """
     pspec = build_serving_program(spec)
     program = SpecProgram(pspec)
-    tracer = TraceRecorder(kinds=("span_open", "span_close"))
     collector = _RequestCollector()
-    tracer.subscribe(collector.on_event)
     jvm = DistributedJVM(
         nodes=pspec.nnodes,
         comm_model=FAST_ETHERNET,
         policy=build_policy(spec.policy, dict(spec.policy_params)),
         mechanism=build_mechanism(spec.mechanism, pspec.manager_node),
-        tracer=tracer,
+        tracer=collector,
         lock_discipline=spec.lock_discipline,
         seed=spec.seed,
         topology=spec.topology,

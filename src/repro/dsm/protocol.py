@@ -58,7 +58,6 @@ from repro.dsm.redirection import (
 from repro.memory.arena import Arena, new_arena
 from repro.memory.diff import Diff, apply_diff, compute_diff
 from repro.memory.heap import ObjectHeap
-from repro.obs.timers import EpochTimer, SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -344,14 +343,11 @@ class DsmEngine:
         # the disabled path costs one `is not None` check) ------------------
         self.metrics = metrics
         self.logger = logger
+        # Latencies are not recorded here: the span layer feeds them to
+        # the registry as dsm_span_us (repro.obs.spans).
         if metrics is not None:
-            self._m_fault_us = metrics.histogram(
-                "dsm_fault_in_us", node=node_id
-            )
             self._m_redirect_hops = metrics.histogram(
-                "dsm_redirect_chain_length",
-                buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-                node=node_id,
+                "dsm_redirect_chain_length", node=node_id
             )
             self._m_diff_bytes = metrics.histogram(
                 "dsm_diff_bytes", node=node_id
@@ -359,23 +355,10 @@ class DsmEngine:
             self._m_migrations = metrics.counter(
                 "dsm_migrations_total", node=node_id
             )
-            self._m_lock_epoch_us = metrics.histogram(
-                "dsm_lock_epoch_us", node=node_id
-            )
-            self._m_barrier_interval_us = metrics.histogram(
-                "dsm_barrier_interval_us", node=node_id
-            )
-            self._lock_epochs: SpanTracker | None = SpanTracker()
-            self._barrier_epochs: dict[int, EpochTimer] = {}
         else:
-            self._m_fault_us = None
             self._m_redirect_hops = None
             self._m_diff_bytes = None
             self._m_migrations = None
-            self._m_lock_epoch_us = None
-            self._m_barrier_interval_us = None
-            self._lock_epochs = None
-            self._barrier_epochs = {}
         self._log_debug = logger is not None and logger.enabled_for("debug")
         self._log_info = logger is not None and logger.enabled_for("info")
 
@@ -392,7 +375,8 @@ class DsmEngine:
 
         # -- causal span layer (repro.obs.spans): one SpanTracer is shared
         # by every engine of the run; the cached handle is None unless the
-        # tracer captures both span kinds, so disabled runs pay a single
+        # tracer captures both span kinds or a metrics registry is
+        # attached, so disabled runs pay a single
         # `is not None` per operation.  Span sites never touch stats,
         # message sizes or simulated time — the determinism digest is
         # bit-identical with spans on or off.
@@ -985,12 +969,7 @@ class DsmEngine:
             op_kind = None
             op = None
         try:
-            if self._m_fault_us is not None:
-                started = self.sim.now
-                payload = yield from self._fault_in_primary(oid, for_write, op)
-                self._m_fault_us.observe(self.sim.now - started)
-            else:
-                payload = yield from self._fault_in_primary(oid, for_write, op)
+            payload = yield from self._fault_in_primary(oid, for_write, op)
             if sp is not None:
                 sp.close(op, op_kind, self.sim.now, oid, self.node_id)
             return payload
@@ -1450,8 +1429,6 @@ class DsmEngine:
             sp.close(
                 op, "lock_acquire", self.sim.now, handle.lock_id, self.node_id
             )
-        if self._m_lock_epoch_us is not None:
-            self._lock_epochs.begin(handle.lock_id, self.sim.now)
 
     def _acquire_fifo(
         self, handle: LockHandle, own_notices: dict[int, int]
@@ -1532,10 +1509,6 @@ class DsmEngine:
 
     def release(self, handle: LockHandle) -> Generator[Any, Any, None]:
         """Flush this interval's diffs, then release the lock with notices."""
-        if self._m_lock_epoch_us is not None:
-            span = self._lock_epochs.end(handle.lock_id, self.sim.now)
-            if span is not None:
-                self._m_lock_epoch_us.observe(span)
         sp = self._sp
         op = None
         if sp is not None:
@@ -1673,13 +1646,6 @@ class DsmEngine:
             return
         round_no, merged, writers = state.complete_round()
         self.stats.incr("barrier_round")
-        if self._m_barrier_interval_us is not None:
-            timer = self._barrier_epochs.setdefault(
-                msg.barrier_id, EpochTimer()
-            )
-            span = timer.lap(self.sim.now)
-            if span is not None:
-                self._m_barrier_interval_us.observe(span)
         new_homes: dict[int, int] = {}
         if self.policy.wants_barrier_migration():
             new_homes = self._order_barrier_migrations(writers)
@@ -1883,7 +1849,7 @@ class DsmEngine:
             state.record_redirections(request.hops)
             self.stats.incr("remote_read")
         if self._m_redirect_hops is not None:
-            self._m_redirect_hops.observe(request.hops)
+            self._m_redirect_hops.record(request.hops)
         alpha = self.alpha(oid, state)
         migrate = self.policy.should_migrate(
             state, request.requester, alpha, request.for_write
@@ -2076,7 +2042,7 @@ class DsmEngine:
         self.stats.incr("diff")
         self.stats.incr("remote_write")
         if self._m_diff_bytes is not None:
-            self._m_diff_bytes.observe(msg.diff.size_bytes)
+            self._m_diff_bytes.record(msg.diff.size_bytes)
         self._send(
             msg.writer,
             MsgCategory.DIFF_ACK,

@@ -56,10 +56,10 @@ class GlobalObjectSpace:
         self.tracer = tracer
         #: Causal span layer: one shared :class:`~repro.obs.spans.SpanTracer`
         #: makes op ids run-unique across all engines.  It disables itself
-        #: unless the tracer captures both span kinds, so a
-        #: ``kinds=("migration",)`` recorder (e.g. the determinism digest)
-        #: pays one cached ``None`` check per operation.
-        self.spans = SpanTracer(tracer) if tracer is not None else None
+        #: unless the tracer captures both span kinds or a registry is
+        #: attached, so a ``kinds=("migration",)`` recorder (e.g. the
+        #: determinism digest) pays one cached ``None`` check per operation.
+        self.spans = SpanTracer(tracer, metrics)
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry` shared by the
         #: network and every engine; ``None`` keeps the hot path bare.
         self.metrics = metrics

@@ -153,7 +153,10 @@ class JsonlTraceWriter:
 
 
 def _parse_meta(line: str, path: str) -> frozenset[str]:
-    meta = json.loads(line)
+    try:
+        meta = json.loads(line)
+    except json.JSONDecodeError:
+        meta = None
     if not isinstance(meta, dict) or meta.get("schema") != TRACE_SCHEMA:
         raise ValueError(
             f"{path!r} is not a {TRACE_SCHEMA} trace (bad meta line)"
@@ -178,23 +181,39 @@ def read_trace_meta(path: str) -> dict:
 
 
 def iter_trace(path: str) -> Iterator[TraceEvent]:
-    """Stream the events of a JSONL trace file one at a time."""
+    """Stream the events of a JSONL trace file one at a time.
+
+    A malformed line — typically the cut-off last line of a killed run —
+    raises :class:`ValueError` naming the file and line number.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
         if not first:
             raise ValueError(f"{path!r} is empty (no meta line)")
         _parse_meta(first, path)
-        for line in handle:
+        for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            raw = json.loads(line)
-            yield TraceEvent(
-                time_us=raw["t"],
-                kind=raw["kind"],
-                oid=raw["oid"],
-                node=raw["node"],
-                detail=raw.get("detail", {}),
-            )
+            try:
+                raw = json.loads(line)
+                event = TraceEvent(
+                    time_us=raw["t"],
+                    kind=raw["kind"],
+                    oid=raw["oid"],
+                    node=raw["node"],
+                    detail=raw.get("detail", {}),
+                )
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed trace event "
+                    f"({exc.msg}: column {exc.colno})"
+                ) from None
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed trace event "
+                    f"(missing or bad field {exc})"
+                ) from None
+            yield event
 
 
 def load_trace(path: str) -> TraceRecorder:

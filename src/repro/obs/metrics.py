@@ -4,14 +4,16 @@ The registry is the numeric backbone of the observability layer: the
 protocol, network and bench executor record into it when (and only when)
 a registry is attached, so the disabled path costs one ``is not None``
 check per site.  Everything the paper plots is expressible as a metric —
-threshold values, redirection chain lengths, diff sizes, fault-in
-latencies in simulated microseconds, migration counts — labeled by node,
-object or policy as appropriate.
+threshold values, redirection chain lengths, diff sizes, per-operation
+span latencies in simulated microseconds, migration counts — labeled by
+node, object or policy as appropriate.  Histograms are
+:class:`~repro.obs.hist.LatencyHistogram` instances, the same type the
+span analytics use.
 
 Design constraints:
 
 * **hot-path cheap** — instruments are plain ``__slots__`` objects whose
-  ``inc``/``set``/``observe`` are attribute arithmetic; callers that sit
+  ``inc``/``set``/``record`` are attribute arithmetic; callers that sit
   on hot paths cache the instrument handle once instead of re-resolving
   the ``(name, labels)`` key per event;
 * **cross-process aggregation** — :meth:`MetricsRegistry.snapshot` is a
@@ -25,14 +27,9 @@ Design constraints:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-#: Default histogram bucket upper bounds — log-spaced to cover everything
-#: from sub-microsecond spans to multi-second simulated latencies (µs)
-#: and from single bytes to megabyte diffs.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0, 10_000_000.0
-)
+from repro.obs.hist import LatencyHistogram
 
 _LabelsKey = tuple[tuple[str, Any], ...]
 
@@ -65,47 +62,6 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """A bucketed distribution (latencies, sizes, chain lengths).
-
-    Tracks per-bucket counts (``bucket_counts[i]`` counts observations
-    ``<= buckets[i]``; the final slot is the overflow), plus running
-    count/sum/min/max so means and extremes survive aggregation.
-    """
-
-    __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets: tuple[float, ...] = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bucket_counts: list[int] = [0] * (len(self.buckets) + 1)
-        self.count: int = 0
-        self.sum: float = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
-        self.bucket_counts[idx] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0.0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
-
 def _labels_key(labels: Mapping[str, Any]) -> _LabelsKey:
     return tuple(sorted(labels.items()))
 
@@ -118,7 +74,7 @@ class MetricsRegistry:
 
         reg = MetricsRegistry()
         reg.counter("dsm_migrations_total", node=3).inc()
-        reg.histogram("dsm_fault_in_us", node=3).observe(412.5)
+        reg.histogram("dsm_span_us", op_kind="read_miss", node=3).record(412.5)
         reg.gauge("dsm_threshold", oid=7).set(2.0)
 
     ``snapshot()`` emits a plain sorted dict; ``merge()`` folds in another
@@ -130,7 +86,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[tuple[str, _LabelsKey], Counter] = {}
         self._gauges: dict[tuple[str, _LabelsKey], Gauge] = {}
-        self._histograms: dict[tuple[str, _LabelsKey], Histogram] = {}
+        self._histograms: dict[tuple[str, _LabelsKey], LatencyHistogram] = {}
 
     # -- instrument accessors ---------------------------------------------
 
@@ -150,18 +106,12 @@ class MetricsRegistry:
             instrument = self._gauges[key] = Gauge()
         return instrument
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        """The histogram under ``name`` + ``labels`` (create once;
-        ``buckets`` only applies at creation)."""
+    def histogram(self, name: str, **labels: Any) -> LatencyHistogram:
+        """The histogram registered under ``name`` + ``labels`` (create once)."""
         key = (name, _labels_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(buckets)
+            instrument = self._histograms[key] = LatencyHistogram()
         return instrument
 
     # -- introspection ------------------------------------------------------
@@ -223,16 +173,7 @@ class MetricsRegistry:
                 )
             ],
             "histograms": [
-                {
-                    "name": name,
-                    "labels": dict(labels),
-                    "buckets": list(h.buckets),
-                    "bucket_counts": list(h.bucket_counts),
-                    "count": h.count,
-                    "sum": h.sum,
-                    "min": h.min,
-                    "max": h.max,
-                }
+                {"name": name, "labels": dict(labels), **h.to_dict()}
                 for (name, labels), h in sorted(
                     self._histograms.items(), key=sort_key
                 )
@@ -243,8 +184,8 @@ class MetricsRegistry:
         """Fold ``other`` (a registry or a snapshot dict) into this one.
 
         Counters and histograms accumulate; gauges take ``other``'s value
-        (last write wins).  Histograms merge bucket-wise, which requires
-        identical bucket bounds for the same ``(name, labels)``.
+        (last write wins).  Histograms merge by integer bucket and tick
+        addition, so the result does not depend on merge order.
         Returns ``self`` for chaining.
         """
         snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
@@ -253,29 +194,9 @@ class MetricsRegistry:
         for entry in snap.get("gauges", ()):
             self.gauge(entry["name"], **entry["labels"]).set(entry["value"])
         for entry in snap.get("histograms", ()):
-            hist = self.histogram(
-                entry["name"], buckets=entry["buckets"], **entry["labels"]
+            self.histogram(entry["name"], **entry["labels"]).merge(
+                LatencyHistogram.from_dict(entry)
             )
-            if list(hist.buckets) != list(entry["buckets"]):
-                raise ValueError(
-                    f"cannot merge histogram {entry['name']!r}: bucket "
-                    f"bounds differ ({list(hist.buckets)} vs "
-                    f"{entry['buckets']})"
-                )
-            for i, n in enumerate(entry["bucket_counts"]):
-                hist.bucket_counts[i] += n
-            hist.count += entry["count"]
-            hist.sum += entry["sum"]
-            for bound_name, pick in (("min", min), ("max", max)):
-                theirs = entry[bound_name]
-                if theirs is None:
-                    continue
-                ours = getattr(hist, bound_name)
-                setattr(
-                    hist,
-                    bound_name,
-                    theirs if ours is None else pick(ours, theirs),
-                )
         return self
 
     @classmethod

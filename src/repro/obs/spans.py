@@ -9,27 +9,34 @@ through protocol messages and pending queues so events caused by the
 operation on *other* nodes link back via ``parent`` → a reconstructable
 causal tree per operation.
 
-Spans are recorded as two ordinary trace events so they flow through the
-existing :class:`~repro.trace.recorder.TraceRecorder` /
-:class:`~repro.obs.export.JsonlTraceWriter` machinery unchanged:
+Spans are the one latency model of a run, with two kinds of consumer:
 
-``span_open``
-    ``detail = {"op": id, "op_kind": kind, "parent": id-or-None, ...}``
-``span_close``
-    ``detail = {"op": id, "op_kind": kind, ...}``
+* a **tracer sink** — anything implementing the tracer protocol
+  (``wants(kind)`` / ``record(kind, time_us, oid, node, **detail)``):
+  :class:`~repro.trace.recorder.TraceRecorder`,
+  :class:`~repro.obs.export.JsonlTraceWriter`, or an online folder such
+  as the serving tier's request collector.  Each span reaches it as two
+  calls:
+
+  ``span_open``
+      ``detail = {"op": id, "op_kind": kind, "parent": id-or-None, ...}``
+  ``span_close``
+      ``detail = {"op": id, "op_kind": kind, ...}``
+
+* a **metrics registry** — each closed span's duration is recorded into
+  ``dsm_span_us{op_kind=..., node=<opening node>}``, so the registry's
+  latency histograms are views of the same spans a trace carries.
 
 Determinism: ids come from deterministic allocation order (the simulator
 dispatches events in a bit-identical order under both backends), and
 this module never consults the wall clock — virtual timestamps are
-passed in by the caller.  An optional ``wall_clock`` callable may be
-injected by an embedder that wants wall-time annotations; it is ``None``
-by default and never required (``tests/test_seed_discipline.py`` audits
-this file for wall-clock imports).
+passed in by the caller (``tests/test_seed_discipline.py`` audits this
+file for wall-clock use).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["SPAN_KINDS", "SPAN_OPEN", "SPAN_CLOSE", "SpanTracer"]
 
@@ -59,29 +66,31 @@ SPAN_CLOSE = "span_close"
 
 
 class SpanTracer:
-    """Allocates run-unique op ids and records span open/close events.
+    """Allocates run-unique op ids and hands each span to its consumers.
 
     One ``SpanTracer`` is shared by all engines of a run (constructed in
     :class:`~repro.gos.space.GlobalObjectSpace`), which is what makes the
-    ids run-unique.  ``enabled`` is resolved once at construction so hot
+    ids run-unique.  ``tracer`` is kept only when it wants both span
+    kinds; ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
+    receives every closed span's duration.  ``enabled`` is resolved once
+    at construction — true when either consumer is present — so hot
     paths can guard on a cached ``None``-or-tracer reference.
     """
 
-    __slots__ = ("tracer", "wall_clock", "enabled", "_next_id")
+    __slots__ = ("tracer", "metrics", "enabled", "_next_id", "_opened")
 
-    def __init__(
-        self,
-        tracer: Any,
-        wall_clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, tracer: Any, metrics: Any = None) -> None:
+        if tracer is not None and not (
+            tracer.wants(SPAN_OPEN) and tracer.wants(SPAN_CLOSE)
+        ):
+            tracer = None
         self.tracer = tracer
-        self.wall_clock = wall_clock
-        self.enabled = (
-            tracer is not None
-            and tracer.wants(SPAN_OPEN)
-            and tracer.wants(SPAN_CLOSE)
-        )
+        self.metrics = metrics
+        self.enabled = tracer is not None or metrics is not None
         self._next_id = 0
+        #: op -> (kind, open time, opening node) of spans still open;
+        #: filled only when a registry needs the durations.
+        self._opened: dict[int, tuple[str, float, int]] = {}
 
     @property
     def issued(self) -> int:
@@ -102,18 +111,19 @@ class SpanTracer:
             raise ValueError(f"unknown span kind {op_kind!r}")
         op = self._next_id
         self._next_id = op + 1
-        if self.wall_clock is not None:
-            detail["wall_s"] = self.wall_clock()
-        self.tracer.record(
-            SPAN_OPEN,
-            time_us,
-            oid,
-            node,
-            op=op,
-            op_kind=op_kind,
-            parent=parent,
-            **detail,
-        )
+        if self.metrics is not None:
+            self._opened[op] = (op_kind, time_us, node)
+        if self.tracer is not None:
+            self.tracer.record(
+                SPAN_OPEN,
+                time_us,
+                oid,
+                node,
+                op=op,
+                op_kind=op_kind,
+                parent=parent,
+                **detail,
+            )
         return op
 
     def close(
@@ -125,20 +135,31 @@ class SpanTracer:
         node: int,
         **detail: Any,
     ) -> None:
-        """Close a previously opened span."""
+        """Close a previously opened span.
+
+        The registry records the duration under the kind and node the
+        span was opened with; a second close of the same op is ignored
+        there, as trace analytics ignore it.
+        """
         if op_kind not in SPAN_KINDS:
             raise ValueError(f"unknown span kind {op_kind!r}")
-        if self.wall_clock is not None:
-            detail["wall_s"] = self.wall_clock()
-        self.tracer.record(
-            SPAN_CLOSE,
-            time_us,
-            oid,
-            node,
-            op=op,
-            op_kind=op_kind,
-            **detail,
-        )
+        if self.metrics is not None:
+            opened = self._opened.pop(op, None)
+            if opened is not None:
+                open_kind, open_us, open_node = opened
+                self.metrics.histogram(
+                    "dsm_span_us", op_kind=open_kind, node=open_node
+                ).record(time_us - open_us)
+        if self.tracer is not None:
+            self.tracer.record(
+                SPAN_CLOSE,
+                time_us,
+                oid,
+                node,
+                op=op,
+                op_kind=op_kind,
+                **detail,
+            )
 
     def completed(
         self,

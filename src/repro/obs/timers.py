@@ -1,26 +1,17 @@
-"""Span and phase timers over simulated and wall clock.
+"""Wall-clock phase timing for bench runs.
 
-Three small primitives cover the timing questions a run raises:
-
-* :class:`PhaseTimer` — named accumulating phases ("build", "simulate",
-  "verify") measured in wall seconds and, when a simulated clock is
-  supplied, simulated microseconds; reports merge across processes;
-* :class:`EpochTimer` — successive laps on one monotonic clock
-  (per-barrier-interval durations: ``lap(now)`` returns the elapsed time
-  since the previous lap);
-* :class:`SpanTracker` — keyed begin/end spans (per-lock-epoch durations:
-  ``begin(lock_id, now)`` ... ``end(lock_id, now)``).
-
-All three are clock-agnostic: callers pass timestamps (or a zero-arg
-clock callable), so the same machinery times the simulator's virtual
-microseconds and the host's ``perf_counter`` seconds.
+:class:`PhaseTimer` accumulates named phases ("build", "simulate",
+"verify") in wall seconds and, when a simulated clock is supplied,
+simulated microseconds; reports merge across processes.  Per-operation
+latencies in virtual time are measured by the span layer
+(:mod:`repro.obs.spans`), not here.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Iterator
 
 
 class PhaseTimer:
@@ -90,51 +81,3 @@ class PhaseTimer:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PhaseTimer {sorted(self._phases)}>"
-
-
-class EpochTimer:
-    """Measures successive epochs on one monotonic clock.
-
-    The first :meth:`lap` arms the timer and returns ``None``; every
-    subsequent lap returns the time elapsed since the previous one.  The
-    protocol layer uses one per barrier to turn release timestamps into
-    per-barrier-interval durations.
-    """
-
-    __slots__ = ("last",)
-
-    def __init__(self) -> None:
-        self.last: float | None = None
-
-    def lap(self, now: float) -> float | None:
-        """Record a lap at ``now``; return the elapsed epoch (or None)."""
-        previous = self.last
-        self.last = now
-        return None if previous is None else now - previous
-
-
-class SpanTracker:
-    """Keyed begin/end spans on one monotonic clock.
-
-    ``begin(key, now)`` opens a span; ``end(key, now)`` closes it and
-    returns its duration (``None`` for an unmatched end — e.g. a lock
-    acquired before telemetry was enabled).  The protocol layer uses one
-    per engine to time lock epochs (acquire-grant to release).
-    """
-
-    __slots__ = ("_open",)
-
-    def __init__(self) -> None:
-        self._open: dict[Hashable, float] = {}
-
-    def begin(self, key: Hashable, now: float) -> None:
-        """Open (or restart) the span identified by ``key``."""
-        self._open[key] = now
-
-    def end(self, key: Hashable, now: float) -> float | None:
-        """Close the span for ``key``; return its duration or ``None``."""
-        start = self._open.pop(key, None)
-        return None if start is None else now - start
-
-    def __len__(self) -> int:
-        return len(self._open)

@@ -265,6 +265,43 @@ def test_cli_analyze_requires_a_path():
     assert "requires a trace path" in proc.stderr
 
 
+def _bad_trace(directory: Path, case: str, source: str) -> str:
+    """A missing, empty, or cut-mid-line (killed run) trace file."""
+    path = directory / f"{case}.jsonl"
+    if case == "empty":
+        path.write_text("")
+    elif case == "cut":
+        data = Path(source).read_bytes()
+        second_event = data.index(b"\n", data.index(b"\n") + 1) + 1
+        path.write_bytes(data[: second_event + 30])
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["analyze", "report"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing", "No such file"),
+        ("empty", "no meta line"),
+        ("cut", "cut.jsonl:3: malformed trace event"),
+    ],
+)
+def test_cli_bad_trace_is_one_error_line(
+    tmp_path, capsys, asp_trace, target, case, message
+):
+    """Unreadable traces exit 2 with one line naming the problem."""
+    from repro.bench.cli import main
+
+    path = _bad_trace(tmp_path, case, asp_trace)
+    argv = [target, path] if target == "analyze" else [target, "--trace", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-bench: error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_empty_span_trace_renders_gracefully(tmp_path):
     """A trace without spans analyzes to an explicit 'no spans' report."""
     path = tmp_path / "nospans.jsonl"

@@ -54,6 +54,26 @@ def test_result_order_matches_spec_order():
     assert [o.tag for o in outcomes] == [s.tag for s in specs]
 
 
+def test_pool_progress_follows_spec_order():
+    """A slow first spec finishing last still reports first, so a
+    progress-side telemetry merge is the same for every ``jobs``."""
+    slow = RunSpec(
+        app="sor", app_kwargs={"size": 64, "iterations": 6},
+        policy="AT", nodes=4, tag="slow",
+    )
+    fast = RunSpec(
+        app="synthetic", app_kwargs={"total_updates": 8, "repetition": 2},
+        policy="NM", nodes=2, tag="fast",
+    )
+    seen = []
+    execute(
+        [slow, fast],
+        jobs=2,
+        progress=lambda done, total, outcome: seen.append((done, outcome.tag)),
+    )
+    assert seen == [(1, "slow"), (2, "fast")]
+
+
 def test_specs_are_picklable():
     for spec in _sweep_specs():
         clone = pickle.loads(pickle.dumps(spec))

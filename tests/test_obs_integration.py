@@ -7,12 +7,15 @@ import pytest
 
 from repro import _kernel
 from repro.apps import Asp
+from repro.apps.synthetic import SingleWriterBenchmark
+from repro.bench.analyze import analyze_trace
 from repro.bench.executor import ObsSpec, RunSpec, execute, run_spec
 from repro.bench.obs_report import render_trace_report
 from repro.bench.runner import make_policy
 from repro.cluster.hockney import FAST_ETHERNET
 from repro.gos.jvm import DistributedJVM
-from repro.obs.export import load_trace
+from repro.obs.export import JsonlTraceWriter, load_trace
+from repro.obs.hist import TICKS_PER_UNIT, LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
 
 SPEC = RunSpec(
@@ -174,3 +177,82 @@ def test_metrics_on_compiled_run_uses_fabric_and_pinned_net_counters():
         expected["net_messages_total", category] = count
         expected["net_bytes_total", category] = nbytes
     assert counters == expected
+
+
+#: ASP-32/AT/4 per-node fault-in latency (count, sum, min, max in
+#: virtual µs), as the engine's own fault timer measured it before fault
+#: latency became a view of the read/write-miss spans.
+PINNED_FAULT_IN_US = {
+    0: (46, 16744.730434782676, 242.0, 569.9130434782674),
+    1: (54, 15494.869565217414, 242.0, 460.3478260869597),
+    2: (51, 14815.826086956547, 242.0, 479.47826086956593),
+    3: (45, 13195.913043478284, 242.0, 477.391304347826),
+}
+
+
+def test_miss_spans_give_the_pinned_fault_latency():
+    """read_miss + write_miss span latencies per node equal the pinned
+    fault-in distribution: both bracket the same instants."""
+    metrics = MetricsRegistry()
+    DistributedJVM(
+        nodes=4,
+        comm_model=FAST_ETHERNET,
+        policy=make_policy("AT"),
+        metrics=metrics,
+    ).run(Asp(size=32))
+    for node, (count, total, low, high) in PINNED_FAULT_IN_US.items():
+        hist = LatencyHistogram.merged(
+            metrics.histogram("dsm_span_us", op_kind=kind, node=node)
+            for kind in ("read_miss", "write_miss")
+        )
+        assert (hist.count, hist.min, hist.max) == (count, low, high)
+        assert hist.sum_ticks / TICKS_PER_UNIT == pytest.approx(
+            total, abs=0.1
+        )
+
+
+@pytest.mark.parametrize(
+    "app",
+    [
+        lambda: Asp(size=32),
+        lambda: SingleWriterBenchmark(total_updates=64, repetition=4),
+    ],
+    ids=["asp", "locks"],
+)
+def test_registry_span_histograms_agree_with_trace_analytics(tmp_path, app):
+    """The registry's dsm_span_us, merged over nodes, is the same
+    per-kind distribution the offline analytics rebuild from the trace."""
+    path = str(tmp_path / "spans.jsonl")
+    metrics = MetricsRegistry()
+    with JsonlTraceWriter(path) as sink:
+        DistributedJVM(
+            nodes=4,
+            comm_model=FAST_ETHERNET,
+            policy=make_policy("AT"),
+            tracer=sink,
+            metrics=metrics,
+        ).run(app())
+    by_kind: dict[str, LatencyHistogram] = {}
+    for entry in metrics.snapshot()["histograms"]:
+        if entry["name"] == "dsm_span_us":
+            by_kind.setdefault(
+                entry["labels"]["op_kind"], LatencyHistogram()
+            ).merge(LatencyHistogram.from_dict(entry))
+    latency = analyze_trace(path)["latency_us"]
+    assert latency
+    assert {k: h.summary() for k, h in by_kind.items()} == latency
+
+
+def test_cli_metrics_out_independent_of_jobs(tmp_path, capsys):
+    """Merged --metrics-out is byte-identical for --jobs 1 and 2."""
+    from repro.bench.cli import main
+
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"metrics-{jobs}.json"
+        assert main([
+            "figure5", "--jobs", jobs, "--metrics-out", str(out),
+        ]) == 0
+        texts.append(out.read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.hist import LatencyHistogram
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_counter_accumulates_and_rejects_negative():
@@ -33,16 +34,18 @@ def test_gauge_last_write_wins():
 
 def test_histogram_buckets_and_moments():
     reg = MetricsRegistry()
-    hist = reg.histogram("lat", buckets=(10.0, 100.0))
+    hist = reg.histogram("lat")
+    assert isinstance(hist, LatencyHistogram)
     for value in (5.0, 50.0, 500.0):
-        hist.observe(value)
+        hist.record(value)
     assert hist.count == 3
-    assert hist.sum == 555.0
+    assert hist.sum_ticks / 1024 == 555.0
     assert hist.min == 5.0
     assert hist.max == 500.0
     assert hist.mean == pytest.approx(185.0)
-    # one value per bucket plus one overflow
-    assert hist.bucket_counts == [1, 1, 1]
+    # three values three binades apart land in three distinct buckets
+    assert sorted(hist.buckets.values()) == [1, 1, 1]
+    assert hist.quantile(0.5) == pytest.approx(50.0, rel=1 / 64)
 
 
 def test_counter_value_and_total_helpers():
@@ -62,13 +65,16 @@ def test_snapshot_is_sorted_and_json_friendly():
     reg.counter("a", node=1).inc()
     reg.counter("a", node=0).inc()
     reg.gauge("g").set(1.5)
-    reg.histogram("h").observe(42.0)
+    reg.histogram("h").record(42.0)
     snap = reg.snapshot()
     names = [(c["name"], tuple(sorted(c["labels"].items())))
              for c in snap["counters"]]
     assert names == sorted(names)
     json.dumps(snap)  # round-trippable without default= hooks
-    assert snap["histograms"][0]["buckets"] == list(DEFAULT_BUCKETS)
+    entry = snap["histograms"][0]
+    assert entry == {
+        "name": "h", "labels": {}, **reg.histogram("h").to_dict()
+    }
 
 
 def test_merge_adds_counters_and_histograms():
@@ -77,8 +83,8 @@ def test_merge_adds_counters_and_histograms():
     a.counter("c", node=0).inc(2)
     b.counter("c", node=0).inc(3)
     b.counter("c", node=1).inc(1)
-    a.histogram("h").observe(10.0)
-    b.histogram("h").observe(1000.0)
+    a.histogram("h").record(10.0)
+    b.histogram("h").record(1000.0)
     a.gauge("g").set(1.0)
     b.gauge("g").set(2.0)
     a.merge(b)
@@ -86,7 +92,7 @@ def test_merge_adds_counters_and_histograms():
     assert a.counter_value("c", node=1) == 1
     hist = a.histogram("h")
     assert hist.count == 2
-    assert hist.sum == 1010.0
+    assert hist.sum_ticks / 1024 == 1010.0
     assert hist.min == 10.0
     assert hist.max == 1000.0
     assert a.gauge("g").value == 2.0  # last write wins
@@ -95,7 +101,7 @@ def test_merge_adds_counters_and_histograms():
 def test_merge_accepts_snapshot_and_round_trips():
     reg = MetricsRegistry()
     reg.counter("c", node=0).inc(7)
-    reg.histogram("h", node=0).observe(123.0)
+    reg.histogram("h", node=0).record(123.0)
     reg.gauge("g").set(9.0)
     wire = reg.snapshot()
 
@@ -107,15 +113,6 @@ def test_merge_accepts_snapshot_and_round_trips():
 
     rebuilt = MetricsRegistry.from_snapshot(wire)
     assert rebuilt.snapshot() == wire
-
-
-def test_merge_rejects_bucket_mismatch():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-    b.histogram("h", buckets=(10.0, 20.0)).observe(15.0)
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 def test_empty_registry_snapshot():

@@ -213,12 +213,31 @@ def test_open_loop_gaps_precede_requests():
     assert saw_gap
 
 
+#: (field, value) pairs that expansion must refuse, naming the field.
+BAD_SPEC_FIELDS = [
+    ("arrival", "bursty"),
+    ("churn", 1.0),
+    ("zipf_s", float("nan")),
+    ("zipf_s", -1.0),
+    ("zipf_s", float("inf")),
+    ("read_fraction", 1.5),
+    ("read_fraction", float("nan")),
+    ("owned_fraction", -0.1),
+    ("keys", 0),
+    ("key_len", 0),
+    ("phases", 0),
+    ("requests_per_thread", 0),
+    ("mean_gap_us", -1.0),
+    ("mean_gap_us", float("inf")),
+    ("think_us", float("nan")),
+]
+
+
 def test_bad_spec_rejected():
-    """Arrival mode and churn are validated at expansion time."""
-    with pytest.raises(ValueError):
-        build_serving_program(ServingSpec(arrival="bursty"))
-    with pytest.raises(ValueError):
-        build_serving_program(ServingSpec(churn=1.0))
+    """Every traffic knob is validated at expansion time, naming it."""
+    for field, value in BAD_SPEC_FIELDS:
+        with pytest.raises(ValueError, match=field):
+            build_serving_program(ServingSpec(**{field: value}))
     with pytest.raises(ValueError):
         zipf_weights(0, 0.99)
 

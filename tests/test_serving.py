@@ -147,6 +147,40 @@ def test_cli_serve_rejects_unknown_policy(capsys):
         cli_main(["serve", "--policy", "WAT"])
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--zipf-s", "nan"),
+        ("--zipf-s", "-1"),
+        ("--read-fraction", "1.5"),
+        ("--phases", "0"),
+        ("--keys", "0"),
+        ("--requests", "0"),
+    ],
+)
+def test_cli_serve_rejects_bad_traffic(flag, value, capsys):
+    """Out-of-range traffic knobs exit 2 with one usage error, no run."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["serve", "--nodes", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_run_serving_needs_no_trace_recorder(monkeypatch):
+    """Request spans reach the collector directly, not via a relay."""
+    from repro.trace.recorder import TraceRecorder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serving spans went through a TraceRecorder")
+
+    monkeypatch.setattr(TraceRecorder, "record", refuse)
+    report = run_serving(SPEC)
+    assert report["requests"] == (
+        SPEC.nthreads * SPEC.requests_per_thread * SPEC.phases
+    )
+
+
 def test_serving_episode_clean_under_conformance():
     """A serving episode passes the oracle and the invariant checker."""
     result = run_episode(seed=0, flavor="serving")

@@ -3,8 +3,8 @@
 Three layers of coverage:
 
 * ``SpanTracer`` in isolation — id allocation, enable gating, event
-  shape, kind validation, retro-dated ``completed`` spans, the optional
-  wall-clock hook;
+  shape, kind validation, retro-dated ``completed`` spans, the registry
+  feed (``dsm_span_us``);
 * live runs — every span a real ASP (barriers) and synthetic-benchmark
   (locks) run emits opens exactly once, closes exactly once, and links
   children to already-open parents, i.e. the causal tree reconstructs;
@@ -96,18 +96,24 @@ def test_span_tracer_completed_is_retro_dated():
     assert opens[0].detail["target"] == 5
 
 
-def test_span_tracer_wall_clock_hook_annotates_events():
-    """The injected clock stamps wall_s; absent by default."""
-    recorder = TraceRecorder()
-    ticks = iter([1.5, 2.5])
-    spans = SpanTracer(recorder, wall_clock=lambda: next(ticks))
-    op = spans.open("barrier_wait", 0.0, oid=0, node=0)
-    spans.close(op, "barrier_wait", 1.0, oid=0, node=0)
-    assert recorder.of_kind("span_open")[0].detail["wall_s"] == 1.5
-    assert recorder.of_kind("span_close")[0].detail["wall_s"] == 2.5
-    bare = SpanTracer(TraceRecorder())
-    bare.open("barrier_wait", 0.0, oid=0, node=0)
-    assert "wall_s" not in bare.tracer.of_kind("span_open")[0].detail
+def test_span_tracer_feeds_registry_without_a_trace():
+    """A registry alone enables spans; each closed span's duration lands
+    under the kind and node it opened with, once."""
+    from repro.obs.metrics import MetricsRegistry
+
+    recorder = TraceRecorder(kinds=("migration",))
+    metrics = MetricsRegistry()
+    spans = SpanTracer(recorder, metrics)
+    assert spans.enabled is True
+    op = spans.open("migration", 10.0, oid=3, node=1)
+    spans.close(op, "migration", 25.0, oid=3, node=2)
+    spans.close(op, "migration", 99.0, oid=3, node=2)  # double close
+    spans.completed("redirect_hop", 30.0, 34.5, oid=3, node=0)
+    assert recorder.events == []  # the tracer does not want span kinds
+    hist = metrics.histogram("dsm_span_us", op_kind="migration", node=1)
+    assert (hist.count, hist.min, hist.max) == (1, 15.0, 15.0)
+    hop = metrics.histogram("dsm_span_us", op_kind="redirect_hop", node=0)
+    assert (hop.count, hop.max) == (1, 4.5)
 
 
 # -- live-run causal trees ----------------------------------------------------
